@@ -172,14 +172,11 @@ def train_bow_logreg(
     labels: Sequence[int],
     vocabulary_index: Mapping[str, int],
     l2_strength: float = 1e-3,
-    seed: int = 0,
 ) -> BowModel:
     """L2-regularized logistic regression on sparse count features.
 
-    Weights initialize at zero, so the fit is deterministic; `seed` is
-    recorded for interface stability only.
+    Weights initialize at zero, so the fit is deterministic.
     """
-    del seed
     X = features_to_matrix(features, len(vocabulary_index))
     y = np.asarray(labels, dtype=float)
     w, b, iterations = fit_logistic_gd(X, y, l2_strength)

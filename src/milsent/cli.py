@@ -425,13 +425,9 @@ def cmd_predict(args) -> int:
             if not doc.sentences:
                 out_docs.append(doc)
                 continue
-            labels, scores = [], []
-            for sentence in doc.sentences:
-                label, score = mil.predict_sentence(model, sentence.embedding)
-                labels.append(label)
-                scores.append(score)
-            matrix = np.stack([s.embedding for s in doc.sentences])
-            doc_label, n_pos, n_neg = mil.predict_document(model, matrix)
+            scores = mil.sentence_scores(model, np.stack([s.embedding for s in doc.sentences]))
+            labels = mil.sentence_labels(scores)
+            doc_label, n_pos, n_neg = mil.document_vote(labels, scores)
             doc_summaries[doc.id] = {
                 "label": _LABEL_TEXT[doc_label],
                 "positive_sentences": n_pos,
@@ -487,19 +483,10 @@ def _sentence_pairs(gold_docs, pred_docs, pred_name: str):
 
 
 def _majority_label(doc: Document) -> int | None:
+    """Vote of the labelled sentences; ties consult scores only if all have one."""
     labels = [s.predicted_label for s in doc.sentences if s.predicted_label is not None]
-    if not labels:
-        return None
-    n_pos = sum(1 for label in labels if label == POSITIVE)
-    n_neg = len(labels) - n_pos
-    if n_pos > n_neg:
-        return POSITIVE
-    if n_neg > n_pos:
-        return NEGATIVE
-    scores = [s.score for s in doc.sentences if s.score is not None]
-    if len(scores) == len(doc.sentences) and scores:
-        return POSITIVE if float(np.mean(scores)) >= 0.5 else NEGATIVE
-    return None
+    scores = [s.score for s in doc.sentences]
+    return mil.document_vote(labels, None if None in scores else scores)[0]
 
 
 def _document_pairs(gold_docs, pred_docs, pred_name: str):
@@ -633,9 +620,10 @@ def cmd_render(args) -> int:
 # ---------------------------------------------------------------------- main
 
 
-def _add_common(parser, *, seed: bool = True) -> None:
-    parser.add_argument("--config", help=f"flat key-value config file "
-                        f"(default: ${CONFIG_ENV_VAR})")
+def _add_common(parser, *, seed: bool = True, config: bool = True) -> None:
+    if config:
+        parser.add_argument("--config", help=f"flat key-value config file "
+                            f"(default: ${CONFIG_ENV_VAR})")
     parser.add_argument("--threads", type=int, default=1,
                         help="bound for parallel sections (default 1, reproducible)")
     parser.add_argument("--manifest", help="override the manifest path")
@@ -697,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus_in")
     _add_embedding_flags(p)
     p.add_argument("corpus_out")
-    _add_common(p)
+    _add_common(p, config=False)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score prediction files against a gold corpus")
@@ -707,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("sentence", "document"), default="sentence")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="write the report here instead of stdout")
-    _add_common(p, seed=False)
+    _add_common(p, seed=False, config=False)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("render", help="show one document with sentence highlighting")
@@ -715,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("doc_id")
     p.add_argument("--format", choices=("ansi", "html"), default="ansi")
     p.add_argument("--out", help="write the rendering here instead of stdout")
-    _add_common(p, seed=False)
+    _add_common(p, seed=False, config=False)
     p.set_defaults(func=cmd_render)
 
     return parser

@@ -26,7 +26,6 @@ KNOWN_KEYS = frozenset(
         "epochs",
         "groups_per_batch",
         "kernel_gamma",
-        "seed",
         "use_bias",
     }
 )

@@ -140,6 +140,9 @@ def _parse_record(obj: dict, line_no: int) -> Document:
 
     sentences = []
     for text, toks, lab, score in zip(texts, tokens, labels, scores):
+        if score is not None and not (type(score) in (int, float) and np.isfinite(score)):
+            raise CorpusError(f"line {line_no}: sentence score must be a finite number, "
+                              f"got {score!r}")
         if lab is not None:
             if lab not in _TEXT_TO_LABEL:
                 raise CorpusError(f"line {line_no}: bad sentence label {lab!r}")
@@ -220,10 +223,14 @@ def _record_of(doc: Document) -> dict:
 
 
 def save_corpus(docs: Iterable[Document], path) -> None:
-    """Write a corpus file; load_corpus(save_corpus(c)) reproduces all fields."""
+    """Write a corpus file; load_corpus(save_corpus(c)) reproduces all fields.
+    A non-finite number has no JSON form and fails the write."""
     with open(path, "w", encoding="utf-8") as handle:
         for doc in docs:
-            handle.write(json.dumps(_record_of(doc), ensure_ascii=False))
+            try:
+                handle.write(json.dumps(_record_of(doc), ensure_ascii=False, allow_nan=False))
+            except ValueError as exc:
+                raise CorpusError(f"{path}: document {doc.id}: {exc}") from exc
             handle.write("\n")
 
 

@@ -70,6 +70,8 @@ def _parse_vector_file(path, first_field_name: str, sep: str | None):
                 vec = np.array([float(v) for v in values])
             except ValueError as exc:
                 raise EmbeddingError(f"{path}: line {line_no}: {exc}") from exc
+            if not np.all(np.isfinite(vec)):
+                raise EmbeddingError(f"{path}: line {line_no}: non-finite vector component")
             if dim is None:
                 dim = len(vec)
             elif len(vec) != dim:
@@ -110,6 +112,13 @@ def _hash_vector(token: str, dim: int, seed: int) -> np.ndarray:
     return vec / norm
 
 
+def _precomputed_vector(store: EmbeddingStore, key: str) -> np.ndarray:
+    try:
+        return store.vectors[key]
+    except KeyError:
+        raise EmbeddingError(f"no precomputed vector for sentence key {key!r}") from None
+
+
 def embed_sentence(
     tokens: Sequence[str], store: EmbeddingStore, key: str | None = None
 ) -> np.ndarray:
@@ -124,10 +133,7 @@ def embed_sentence(
     if store.provider == PRECOMPUTED_SENTENCE:
         if key is None:
             raise EmbeddingError("precomputed-sentence provider requires a sentence key")
-        try:
-            return store.vectors[key]
-        except KeyError:
-            raise EmbeddingError(f"no precomputed vector for sentence key {key!r}") from None
+        return _precomputed_vector(store, key)
     # tokens are summed in sorted order so the mean is permutation-invariant
     # bit for bit, not just up to rounding
     if store.provider == WORD_AVERAGE:
@@ -155,13 +161,7 @@ def embed_corpus(docs: Sequence[Document], store: EmbeddingStore) -> list[Docume
         sentences = []
         for idx, sentence in enumerate(doc.sentences):
             if store.provider == PRECOMPUTED_SENTENCE:
-                key = sentence_key(doc.id, idx)
-                try:
-                    vec = store.vectors[key]
-                except KeyError:
-                    raise EmbeddingError(
-                        f"no precomputed vector for sentence key {key!r}"
-                    ) from None
+                vec = _precomputed_vector(store, sentence_key(doc.id, idx))
             else:
                 tokens = sentence.tokens or tuple(tokenize(sentence.text))
                 if not tokens:

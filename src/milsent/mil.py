@@ -139,59 +139,84 @@ def similarity_matrix(X: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * d2)
 
 
+def sentence_scores(model: MilModel, group) -> np.ndarray:
+    """Scores of every row of a non-empty instance matrix, in one batched pass."""
+    X = np.asarray(group, dtype=float)
+    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] != model.dim:
+        raise ValueError(f"expected a non-empty instance matrix with {model.dim} columns, "
+                         f"got shape {X.shape}")
+    return _raw_scores(model.theta, model.config.use_bias, X)
+
+
+def sentence_labels(scores) -> np.ndarray:
+    """The sentence rule: a score >= 0.5 predicts positive."""
+    return np.where(np.asarray(scores) >= 0.5, POSITIVE, NEGATIVE)
+
+
+def document_vote(labels, scores=None) -> tuple[int | None, int, int]:
+    """(label, positive_count, negative_count): the majority sentence label; a
+    tie goes by the mean score against 0.5, or stays None without scores."""
+    positive = int(np.count_nonzero(np.asarray(labels) == POSITIVE))
+    negative = len(labels) - positive
+    if positive != negative:
+        label = POSITIVE if positive > negative else NEGATIVE
+    elif scores is None or len(scores) == 0:
+        label = None
+    else:
+        label = POSITIVE if float(np.mean(scores)) >= 0.5 else NEGATIVE
+    return label, positive, negative
+
+
 def instance_score(model: MilModel, x) -> float:
     """Sigmoid of the linear score for one instance vector."""
     x = np.asarray(x, dtype=float)
     if x.shape != (model.dim,):
         raise ValueError(f"expected vector of dimension {model.dim}, got {x.shape}")
-    return float(_raw_scores(model.theta, model.config.use_bias, x[None, :])[0])
+    return float(sentence_scores(model, x[None, :])[0])
 
 
 def group_score(model: MilModel, group) -> float:
     """Arithmetic mean of instance scores over a non-empty group."""
-    X = np.asarray(group, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("group must be a non-empty instance matrix")
-    return float(np.mean(_raw_scores(model.theta, model.config.use_bias, X)))
+    return float(np.mean(sentence_scores(model, group)))
+
+
+def _pairwise_terms(X: np.ndarray, s: np.ndarray, gamma: float) -> tuple[float, np.ndarray]:
+    """sum_ij S_ij (s_i - s_j)^2 and c_i = sum_j S_ij (s_i - s_j), S the RBF
+    kernel of X. Both come from the explicit difference matrix, so c is
+    exactly zero when all scores coincide."""
+    weighted = similarity_matrix(X, gamma)
+    diff = s[:, None] - s[None, :]
+    weighted *= diff
+    c = weighted.sum(axis=1)
+    weighted *= diff
+    return float(np.sum(weighted)), c
+
+
+def _group_errors(s: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Mean instance score minus label, per group."""
+    return np.add.reduceat(s, np.cumsum(sizes) - sizes) / sizes - labels
 
 
 def _loss(theta, use_bias, groups, lam, gamma) -> float:
     X, labels, sizes = _stack(groups)
     s = _raw_scores(theta, use_bias, X)
     n = len(s)
-    S = similarity_matrix(X, gamma)
-    diff = s[:, None] - s[None, :]
-    pairwise = float(np.sum(S * diff * diff)) / (n * n)
-    start = 0
-    group_sq = 0.0
-    for size, label in zip(sizes, labels):
-        mean = float(np.mean(s[start : start + size]))
-        group_sq += (mean - label) ** 2
-        start += size
-    return pairwise + lam * group_sq / len(groups)
+    pairwise, _ = _pairwise_terms(X, s, gamma)
+    group_sq = float(np.sum(_group_errors(s, labels, sizes) ** 2))
+    return pairwise / (n * n) + lam * group_sq / len(groups)
 
 
 def _gradient(theta, use_bias, groups, lam, gamma) -> np.ndarray:
     X, labels, sizes = _stack(groups)
     s = _raw_scores(theta, use_bias, X)
     n = len(s)
-    Z = np.hstack([X, np.ones((n, 1))]) if use_bias else X
-    slope = s * (1.0 - s)
-    S = similarity_matrix(X, gamma)
-    # c_i = sum_j S_ij (s_i - s_j); computed from the explicit difference
-    # matrix so it is exactly zero when all scores coincide.
-    c = (S * (s[:, None] - s[None, :])).sum(axis=1)
-    grad = (4.0 / (n * n)) * (Z.T @ (slope * c))
-    if lam != 0.0:
-        acc = np.zeros_like(grad)
-        start = 0
-        for size, label in zip(sizes, labels):
-            sl = slice(start, start + size)
-            mean = float(np.mean(s[sl]))
-            acc += (2.0 * (mean - label) / size) * (Z[sl].T @ slope[sl])
-            start += size
-        grad = grad + (lam / len(groups)) * acc
-    return grad
+    _, c = _pairwise_terms(X, s, gamma)
+    # d loss / d z_i for the linear score z_i: s_i (1 - s_i) times the
+    # pairwise part plus the group part shared by every instance of a group
+    group_part = np.repeat(2.0 * _group_errors(s, labels, sizes) / sizes, sizes)
+    weight = s * (1.0 - s) * ((4.0 / (n * n)) * c + (lam / len(groups)) * group_part)
+    grad = X.T @ weight
+    return np.append(grad, np.sum(weight)) if use_bias else grad
 
 
 def loss(model: MilModel, batch, lam: float, gamma: float) -> float:
@@ -249,33 +274,13 @@ def train(dataset: MilDataset, config: TrainConfig | None = None) -> TrainResult
 def predict_sentence(model: MilModel, x) -> tuple[int, float]:
     """(label, score); score >= 0.5 predicts positive."""
     score = instance_score(model, x)
-    return (POSITIVE if score >= 0.5 else NEGATIVE), score
+    return int(sentence_labels(score)), score
 
 
-def predict_document(model: MilModel, group, mode: str = "majority") -> tuple[int, int, int]:
-    """(label, positive_count, negative_count) for a group of instances.
-
-    majority: most frequent sentence label wins; a tie falls back to the
-    mean score against 0.5. mean: the mean-score rule directly.
-    """
-    X = np.asarray(group, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("group must be a non-empty instance matrix")
-    scores = _raw_scores(model.theta, model.config.use_bias, X)
-    positive = int(np.sum(scores >= 0.5))
-    negative = len(scores) - positive
-    if mode == "mean":
-        label = POSITIVE if float(np.mean(scores)) >= 0.5 else NEGATIVE
-    elif mode == "majority":
-        if positive > negative:
-            label = POSITIVE
-        elif negative > positive:
-            label = NEGATIVE
-        else:
-            label = POSITIVE if float(np.mean(scores)) >= 0.5 else NEGATIVE
-    else:
-        raise ValueError(f"unknown prediction mode {mode!r}")
-    return label, positive, negative
+def predict_document(model: MilModel, group) -> tuple[int, int, int]:
+    """`document_vote` over the sentence labels and scores of a group."""
+    scores = sentence_scores(model, group)
+    return document_vote(sentence_labels(scores), scores)
 
 
 def document_accuracy(model: MilModel, dataset: MilDataset) -> float:

@@ -175,8 +175,8 @@ class TestLogisticFit:
         y = (X[:, 0] > 0).astype(float)
         index = {"a": 0, "b": 1}
         features = [{0: float(r[0]), 1: float(r[1])} for r in X]
-        m1 = train_bow_logreg(features, y, index, l2_strength=0.01, seed=1)
-        m2 = train_bow_logreg(features, y, index, l2_strength=0.01, seed=2)
+        m1 = train_bow_logreg(features, y, index, l2_strength=0.01)
+        m2 = train_bow_logreg(features, y, index, l2_strength=0.01)
         np.testing.assert_array_equal(m1.weights, m2.weights)
         assert m1.intercept == m2.intercept
 

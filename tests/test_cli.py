@@ -2,11 +2,13 @@ import json
 from datetime import date, timedelta
 
 import numpy as np
+import pytest
 
 from milsent.cli import main
 from milsent.corpus import load_corpus
 from milsent.mil import generate_synthetic
 from conftest import write_jsonl, write_price_csv
+from reference import naive_document_vote
 
 
 def write_config(path, **overrides):
@@ -263,6 +265,22 @@ class TestPredict:
         summary = json.loads((tmp_path / "predicted.jsonl.docs.json").read_text())
         assert len(summary) == 200
         assert set(summary["g000"]) == {"label", "positive_sentences", "negative_sentences"}
+        # one vote rule behind predict's summary and evaluate's document mode
+        votes = []
+        for doc in docs:
+            scores = [s.score for s in doc.sentences]
+            assert [s.predicted_label for s in doc.sentences] == [int(x >= 0.5) for x in scores]
+            label, pos, neg = naive_document_vote(scores)
+            assert summary[doc.id] == {"label": "pos" if label else "neg",
+                                       "positive_sentences": pos, "negative_sentences": neg}
+            votes.append({"id": doc.id, "ticker": doc.ticker, "text": doc.raw_text,
+                          "published_at": doc.published_at.isoformat(),
+                          "label": summary[doc.id]["label"]})
+        votes_path, report = tmp_path / "votes.jsonl", tmp_path / "report.json"
+        write_jsonl(votes_path, votes)
+        assert main(["evaluate", str(votes_path), f"mil={predicted_path}", "--mode", "document",
+                     "--format", "json", "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["methods"]["mil"]["accuracy"] == 1.0
 
     def test_empty_corpus_gives_empty_output(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -472,3 +490,76 @@ class TestConfigFile:
         assert main(["preprocess", str(raw), str(out)]) == 0
         manifest = json.loads((tmp_path / "o.jsonl.manifest.json").read_text())
         assert manifest["config"]["min_count"] == 1
+
+    def test_seed_key_is_usage_error(self, tmp_path, capsys):
+        corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=5)
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = 5\n")
+        rc = main(["train", str(corpus), str(vectors), str(tmp_path / "model.json"),
+                   "--embedding-format", "sentence", "--epochs", "1", "--config", str(cfg)])
+        assert rc == 2
+        assert "'seed'" in capsys.readouterr().err
+
+    def test_config_flag_only_where_read(self, tmp_path):
+        cfg = str(write_config(tmp_path / "demo.cfg"))
+        corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=5)
+        model, predicted = str(tmp_path / "model.json"), str(tmp_path / "predicted.jsonl")
+        assert main(["train", str(corpus), str(vectors), model, "--embedding-format",
+                     "sentence", "--epochs", "1", "--config", cfg]) == 0
+        for argv in (
+            ["predict", model, str(corpus), str(vectors), predicted,
+             "--embedding-format", "sentence"],
+            ["evaluate", str(corpus), predicted, "--mode", "document"],
+            ["render", predicted, "g000"],
+        ):
+            assert main(argv + ["--config", cfg]) == 2
+            assert main(argv) == 0
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_vector_file_rejected_with_line(self, tmp_path, capsys, bad):
+        corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=5)
+        model_path = tmp_path / "model.json"
+        assert main(["train", str(corpus), str(vectors), str(model_path),
+                     "--embedding-format", "sentence", "--epochs", "1"]) == 0
+        lines = vectors.read_text().splitlines()
+        key, values = lines[2].split("\t")
+        lines[2] = key + "\t" + " ".join([bad] + values.split()[1:])
+        vectors.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["predict", str(model_path), str(corpus), str(vectors),
+                   str(tmp_path / "out.jsonl"), "--embedding-format", "sentence"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(vectors) in err and "line 3" in err
+
+    @pytest.mark.parametrize("score,label", [
+        (float("nan"), "neg"), (float("inf"), "pos"), ("0.9", "pos"), (True, "pos"),
+    ], ids=["nan", "inf", "string", "bool"])
+    def test_corpus_score_rejected_with_line(self, tmp_path, capsys, score, label):
+        gold, perfect, _ = evaluation_files(tmp_path)
+        records = [json.loads(line) for line in perfect.read_text().splitlines()]
+        records[1]["sentence_scores"][0] = score
+        records[1]["sentence_labels"][0] = label
+        write_jsonl(perfect, records)
+        rc = main(["evaluate", str(gold), f"mil={perfect}", "--mode", "document"])
+        assert rc == 1
+        assert "line 2" in capsys.readouterr().err
+
+    def test_non_finite_return_is_not_saved(self, tmp_path, capsys):
+        raw = news_corpus(tmp_path)
+        prices_dir, index_path = price_fixtures(tmp_path)
+        prices = prices_dir / "BBB.csv"
+        # a nan event-day close passes the price checks and yields a nan
+        # abnormal return, which has no JSON form
+        prices.write_text("".join(
+            "2005-02-14,nan\n" if line.startswith("2005-02-14") else line + "\n"
+            for line in prices.read_text().splitlines()))
+        out = tmp_path / "labeled.jsonl"
+        cfg = write_config(tmp_path / "demo.cfg")
+        rc = main(["label", str(raw), str(prices_dir), str(index_path), str(out),
+                   "--config", str(cfg)])
+        assert rc == 1
+        assert str(out) in capsys.readouterr().err
+        assert "NaN" not in out.read_text()

@@ -12,6 +12,7 @@ from milsent.mil import (
     TrainConfig,
     TrainingError,
     document_accuracy,
+    document_vote,
     generate_synthetic,
     gradient,
     grid_search,
@@ -337,13 +338,10 @@ class TestPrediction:
         group = np.array([[scalar_logit(p)] for p in (0.2, 0.3, 0.1)])
         assert predict_document(model, group) == (0, 0, 3)
 
-    def test_mean_mode(self):
-        model = model_of([1.0, 0.0], dim=1)
-        group = np.array([[scalar_logit(p)] for p in (0.9, 0.2, 0.2)])
-        assert predict_document(model, group, mode="majority")[0] == 0
-        assert predict_document(model, group, mode="mean")[0] == (
-            1 if (0.9 + 0.2 + 0.2) / 3 >= 0.5 else 0
-        )
+    def test_vote_tie_without_scores_is_undecided(self):
+        assert document_vote([1, 0], None) == (None, 1, 1)
+        assert document_vote([], []) == (None, 0, 0)
+        assert document_vote([1, 0], [0.9, 0.2]) == (1, 1, 1)
 
     def test_exhaustive_agreement_with_naive_recount(self):
         model = model_of([1.0, 0.0], dim=1)
