@@ -425,7 +425,11 @@ def cmd_predict(args) -> int:
             if not doc.sentences:
                 out_docs.append(doc)
                 continue
-            scores = mil.sentence_scores(model, np.stack([s.embedding for s in doc.sentences]))
+            try:
+                scores = mil.sentence_scores(
+                    model, np.stack([s.embedding for s in doc.sentences]))
+            except ValueError as exc:
+                raise ValueError(f"document {doc.id}: {exc}") from exc
             labels = mil.sentence_labels(scores)
             doc_label, n_pos, n_neg = mil.document_vote(labels, scores)
             doc_summaries[doc.id] = {

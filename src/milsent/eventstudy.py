@@ -40,8 +40,8 @@ class PriceSeries:
             if d2 <= d1:
                 raise EventStudyError(f"{self.ticker}: dates must strictly increase")
         for d, p in obs:
-            if p <= 0:
-                raise EventStudyError(f"{self.ticker}: non-positive price on {d}")
+            if not 0 < p < math.inf:
+                raise EventStudyError(f"{self.ticker}: non-positive or non-finite price on {d}")
         object.__setattr__(self, "observations", obs)
 
 
@@ -79,9 +79,12 @@ def load_price_series(path, ticker: str) -> PriceSeries:
             if not row or not "".join(row).strip():
                 continue
             try:
-                observations.append((date.fromisoformat(row[0].strip()), float(row[1])))
+                day, close = date.fromisoformat(row[0].strip()), float(row[1])
             except (ValueError, IndexError) as exc:
                 raise EventStudyError(f"{path}: row {row_no}: {exc}") from exc
+            if not math.isfinite(close):
+                raise EventStudyError(f"{path}: row {row_no}: close {close} is not finite")
+            observations.append((day, close))
     return PriceSeries(ticker=ticker, observations=tuple(observations))
 
 

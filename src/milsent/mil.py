@@ -6,7 +6,10 @@ differences between similar instances, averaged over all ordered instance
 pairs, and a squared error between each group's mean instance score and its
 label, weighted by `lam`. Minimized by SGD with classical momentum over
 group minibatches; the pair/group normalizers are re-read as batch counts
-on every step, and the exact full-data loss is traced once per epoch.
+on every step, and the exact full-data loss is traced once per epoch. The
+pairwise RBF kernel is streamed over blocks of rows and never held whole, so
+a loss or gradient needs O(n * KERNEL_BLOCK_ROWS) memory for n instances,
+while its time stays O(n^2).
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ Group = tuple[np.ndarray, int]
 
 MODEL_FORMAT = "milsent-model"
 MODEL_VERSION = 1
+
+# rows of the pairwise kernel held at once: memory O(n * KERNEL_BLOCK_ROWS)
+KERNEL_BLOCK_ROWS = 64
 
 
 class TrainingError(Exception):
@@ -125,27 +131,30 @@ def _stack(groups: Sequence[Group]):
     return X, labels, sizes
 
 
-def _raw_scores(theta: np.ndarray, use_bias: bool, X: np.ndarray) -> np.ndarray:
+def _linear_scores(theta: np.ndarray, use_bias: bool, X: np.ndarray) -> np.ndarray:
     z = X @ (theta[:-1] if use_bias else theta)
-    if use_bias:
-        z = z + theta[-1]
-    return sigmoid(z)
+    return z + theta[-1] if use_bias else z
 
 
-def similarity_matrix(X: np.ndarray, gamma: float) -> np.ndarray:
-    gram = X @ X.T
-    sq = np.diag(gram)
-    d2 = np.clip(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0, None)
-    return np.exp(-gamma * d2)
+def _raw_scores(theta: np.ndarray, use_bias: bool, X: np.ndarray) -> np.ndarray:
+    return sigmoid(_linear_scores(theta, use_bias, X))
 
 
 def sentence_scores(model: MilModel, group) -> np.ndarray:
-    """Scores of every row of a non-empty instance matrix, in one batched pass."""
+    """Scores of every row of a non-empty instance matrix, in one batched pass.
+
+    A linear score that overflows is an error, not a saturated score: the
+    sign of an overflowed sum depends on the BLAS accumulation order."""
     X = np.asarray(group, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] != model.dim:
         raise ValueError(f"expected a non-empty instance matrix with {model.dim} columns, "
                          f"got shape {X.shape}")
-    return _raw_scores(model.theta, model.config.use_bias, X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _linear_scores(model.theta, model.config.use_bias, X)
+    bad = np.flatnonzero(~np.isfinite(z))
+    if bad.size:
+        raise ValueError(f"row {bad[0]}: linear score {z[bad[0]]} is not finite")
+    return sigmoid(z)
 
 
 def sentence_labels(scores) -> np.ndarray:
@@ -182,14 +191,35 @@ def group_score(model: MilModel, group) -> float:
 
 def _pairwise_terms(X: np.ndarray, s: np.ndarray, gamma: float) -> tuple[float, np.ndarray]:
     """sum_ij S_ij (s_i - s_j)^2 and c_i = sum_j S_ij (s_i - s_j), S the RBF
-    kernel of X. Both come from the explicit difference matrix, so c is
-    exactly zero when all scores coincide."""
-    weighted = similarity_matrix(X, gamma)
-    diff = s[:, None] - s[None, :]
-    weighted *= diff
-    c = weighted.sum(axis=1)
-    weighted *= diff
-    return float(np.sum(weighted)), c
+    kernel of X, streamed over blocks of KERNEL_BLOCK_ROWS rows so that no
+    n x n array is ever held. Both come from the explicit difference block,
+    so c is exactly zero when all scores coincide. The per-row totals are
+    summed once at the end, so the order of that sum does not depend on the
+    block size."""
+    n = len(s)
+    sq = np.einsum("ij,ij->i", X, X)
+    minus_2xt = -2.0 * X.T  # exact: scaling by a power of two
+    c = np.empty(n)
+    row_sq = np.empty(n)
+    # two reused buffers: fresh ones per block would be page-faulted in again
+    block_buf = np.empty((min(n, KERNEL_BLOCK_ROWS), n))
+    diff_buf = np.empty_like(block_buf)
+    for lo in range(0, n, KERNEL_BLOCK_ROWS):
+        hi = min(lo + KERNEL_BLOCK_ROWS, n)
+        block, diff = block_buf[: hi - lo], diff_buf[: hi - lo]
+        np.matmul(X[lo:hi], minus_2xt, out=block)
+        # squared distances ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j, clipped at 0
+        block += sq[None, :]
+        block += sq[lo:hi, None]
+        np.maximum(block, 0.0, out=block)
+        block *= -gamma
+        np.exp(block, out=block)
+        np.subtract(s[lo:hi, None], s[None, :], out=diff)
+        block *= diff
+        c[lo:hi] = block.sum(axis=1)
+        block *= diff
+        row_sq[lo:hi] = block.sum(axis=1)
+    return float(np.sum(row_sq)), c
 
 
 def _group_errors(s: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 
 from milsent.cli import main
 from milsent.corpus import load_corpus
-from milsent.mil import generate_synthetic
+from milsent.mil import MilModel, TrainConfig, generate_synthetic, save_model
 from conftest import write_jsonl, write_price_csv
 from reference import naive_document_vote
 
@@ -548,18 +548,41 @@ class TestNonFiniteInput:
         assert "line 2" in capsys.readouterr().err
 
     def test_non_finite_return_is_not_saved(self, tmp_path, capsys):
-        raw = news_corpus(tmp_path)
-        prices_dir, index_path = price_fixtures(tmp_path)
-        prices = prices_dir / "BBB.csv"
-        # a nan event-day close passes the price checks and yields a nan
-        # abnormal return, which has no JSON form
-        prices.write_text("".join(
-            "2005-02-14,nan\n" if line.startswith("2005-02-14") else line + "\n"
-            for line in prices.read_text().splitlines()))
-        out = tmp_path / "labeled.jsonl"
-        cfg = write_config(tmp_path / "demo.cfg")
-        rc = main(["label", str(raw), str(prices_dir), str(index_path), str(out),
-                   "--config", str(cfg)])
+        # a nan or inf event-day close would yield a non-finite abnormal
+        # return, which has no JSON form: the price file is rejected, naming
+        # the row, before anything is written
+        for close in ("nan", "inf"):
+            work = tmp_path / close
+            work.mkdir()
+            raw = news_corpus(work)
+            prices_dir, index_path = price_fixtures(work)
+            prices = prices_dir / "BBB.csv"
+            lines = prices.read_text().splitlines()
+            row = next(i for i, line in enumerate(lines, 1) if line.startswith("2005-02-14"))
+            lines[row - 1] = f"2005-02-14,{close}"
+            prices.write_text("\n".join(lines) + "\n")
+            out = work / "labeled.jsonl"
+            cfg = write_config(work / "demo.cfg")
+            rc = main(["label", str(raw), str(prices_dir), str(index_path), str(out),
+                       "--config", str(cfg)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert str(prices) in err and f"row {row}" in err
+            assert not out.exists()
+
+    def test_overflowing_score_names_document(self, tmp_path, capsys):
+        corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=5)
+        model_path = tmp_path / "model.json"
+        save_model(MilModel(theta=np.ones(8), dim=8, config=TrainConfig(use_bias=False)),
+                   model_path)
+        lines = vectors.read_text().splitlines()
+        key, values = lines[2].split("\t")
+        assert key.startswith("g000:")
+        lines[2] = key + "\t" + " ".join(["1e308"] * len(values.split()))
+        vectors.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.jsonl"
+        rc = main(["predict", str(model_path), str(corpus), str(vectors), str(out),
+                   "--embedding-format", "sentence"])
         assert rc == 1
-        assert str(out) in capsys.readouterr().err
-        assert "NaN" not in out.read_text()
+        assert "g000" in capsys.readouterr().err
+        assert not out.exists()

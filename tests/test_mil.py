@@ -1,9 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from milsent import mil
 from milsent.corpus import MilDataset
 from milsent.mil import (
     GridSpec,
@@ -25,6 +27,7 @@ from milsent.mil import (
     predict_sentence,
     rbf_similarity,
     save_model,
+    sentence_scores,
     sigmoid,
     train,
 )
@@ -135,6 +138,18 @@ class TestScores:
         assert group_score(model, group) == pytest.approx(
             instance_score(model, group[0]), abs=1e-15
         )
+
+    def test_overflowing_linear_score_is_an_error(self):
+        # the sign of an overflowed dot product depends on the BLAS
+        # accumulation order, so such a score has no defined label
+        model = model_of([2.0, -2.0], dim=2, config=NO_BIAS)
+        huge = [1e308, 1e308]
+        with pytest.raises(ValueError, match="row 1"):
+            sentence_scores(model, np.array([[0.5, 0.1], huge]))
+        with pytest.raises(ValueError, match="row 0"):
+            instance_score(model, np.array(huge))
+        with pytest.raises(ValueError, match="row 0"):
+            sentence_scores(model_of([1.0, 1.0], dim=2, config=NO_BIAS), np.array([huge]))
 
     def test_group_score_empty_group(self):
         with pytest.raises(ValueError):
@@ -248,6 +263,65 @@ class TestGradient:
 
         numeric = central_difference_gradient(loss_at, theta)
         assert relative_gradient_error(analytic, numeric) < 1e-5
+
+
+def batch_of_size(rng, n, dim=8, group_size=5):
+    """Random groups of group_size instances, the last one shorter, n in all."""
+    sizes = [group_size] * (n // group_size) + ([n % group_size] if n % group_size else [])
+    groups = tuple((rng.standard_normal((m, dim)), int(rng.integers(0, 2))) for m in sizes)
+    return MilDataset(groups=groups, dim=dim)
+
+
+# instance counts against the kernel's row block: several blocks with a
+# ragged last one, exactly one block, and less than one block
+BLOCK_CASES = {
+    "ragged": 2 * mil.KERNEL_BLOCK_ROWS + 7,
+    "one_block": mil.KERNEL_BLOCK_ROWS,
+    "short": mil.KERNEL_BLOCK_ROWS - 3,
+}
+
+
+@pytest.mark.parametrize("n", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
+class TestKernelBlocks:
+    def test_loss_matches_naive_double_loop(self, n):
+        rng = np.random.default_rng(n)
+        batch = batch_of_size(rng, n)
+        for lam, gamma in ((0.0, 0.05), (10.0, 0.5)):
+            theta = rng.standard_normal(9)
+            fast = loss(model_of(theta, dim=8), batch, lam, gamma)
+            slow = naive_mil_loss(theta, batch.groups, lam, gamma)
+            assert abs(fast - slow) < 1e-12
+
+    def test_gradient_matches_central_finite_differences(self, n):
+        rng = np.random.default_rng(n + 1)
+        batch = batch_of_size(rng, n)
+        theta = rng.standard_normal(9) * 0.8
+        analytic = gradient(model_of(theta, dim=8), batch, 1.0, 0.1)
+
+        def loss_at(t):
+            return loss(model_of(t, dim=8), batch, 1.0, 0.1)
+
+        numeric = central_difference_gradient(loss_at, theta, h=1e-5)
+        assert relative_gradient_error(analytic, numeric) < 1e-5
+
+    def test_zero_theta_zero_lambda_is_exactly_zero(self, n):
+        batch = batch_of_size(np.random.default_rng(n + 2), n)
+        model = model_of(np.zeros(9), dim=8)
+        assert loss(model, batch, 0.0, 0.1) == 0.0
+        np.testing.assert_array_equal(gradient(model, batch, 0.0, 0.1), np.zeros(9))
+
+
+def test_loss_memory_is_not_quadratic():
+    # a dense 4000 x 4000 float64 kernel alone is 128 MB
+    dataset, _ = generate_synthetic(400, 10, 50, 2.0, 0.1, seed=0)
+    model = model_of(np.random.default_rng(0).standard_normal(51) * 0.1, dim=50)
+    tracemalloc.start()
+    try:
+        loss(model, dataset, 10.0, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 class TestTrain:
