@@ -27,6 +27,7 @@ from milsent.baselines import DictionaryError
 from milsent.corpus import (
     CorpusError,
     Document,
+    LABEL_TO_TEXT,
     NEGATIVE,
     POSITIVE,
     SentenceInstance,
@@ -41,9 +42,6 @@ CONFIG_ENV_VAR = "MILSENT_CONFIG"
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-
-_LABEL_TEXT = {POSITIVE: "pos", NEGATIVE: "neg"}
-
 
 class UsageError(Exception):
     """Bad arguments, bad config, or unusable input selection."""
@@ -70,7 +68,6 @@ class RunManifest:
     inputs: dict
     outputs: dict
     seed: int | None
-    threads: int
     started_at: str
     finished_at: str | None = None
     metrics: dict | None = None
@@ -90,7 +87,6 @@ def _manifest(command: str, args, config: dict, inputs: dict, outputs: dict) -> 
         inputs={k: str(v) for k, v in inputs.items()},
         outputs={k: str(v) for k, v in outputs.items()},
         seed=getattr(args, "seed", None),
-        threads=getattr(args, "threads", 1),
         started_at=datetime.now(timezone.utc).isoformat(),
     )
 
@@ -101,67 +97,66 @@ def _manifest_path(args, output_path) -> Path:
     return Path(str(output_path) + ".manifest.json")
 
 
-def _load_config_values(args) -> dict[str, list[str]]:
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
+# Config file key -> dataclass field, per stage. A file may hold any key of
+# the three maps, so one file can steer the whole pipeline.
+_PREPROCESS_KEYS = {
+    "min_doc_words": "min_doc_words",
+    "min_count": "min_count",
+    "length_percentile": "length_percentile",
+    "cutoff_pattern": "cutoff_patterns",
+    "date_pattern": "date_patterns",
+    "url_pattern": "url_pattern",
+}
+_EVENT_KEYS = {
+    "penny_threshold": "penny_threshold",
+    "outlier_level": "outlier_level",
+    "window": "window",
+}
+_TRAIN_KEYS = {
+    "lambda": "lam",
+    "learning_rate": "learning_rate",
+    "momentum": "momentum",
+    "epochs": "epochs",
+    "groups_per_batch": "groups_per_batch",
+    "kernel_gamma": "kernel_gamma",
+    "use_bias": "use_bias",
+}
+
+
+def _config(args, base, keys: dict[str, str]):
+    """`base` with the config file's values for `keys` applied."""
+    path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if not path:
-        return {}
+        return base
     _require_file(path, "config file")
-    return configfile.load_flat_config(path)
+    values = configfile.load_flat_config(path, {**_PREPROCESS_KEYS, **_EVENT_KEYS, **_TRAIN_KEYS})
+    return configfile.apply(path, values, base, keys)
 
 
-def _preprocess_config(values) -> preprocess.PreprocessConfig:
-    get = configfile.get_scalar
-    try:
-        return preprocess.PreprocessConfig(
-            min_doc_words=get(values, "min_doc_words", int, 50),
-            cutoff_patterns=configfile.get_list(
-                values, "cutoff_pattern", preprocess.DEFAULT_CUTOFF_PATTERNS
-            ),
-            length_percentile=get(values, "length_percentile", float, 0.01),
-            date_patterns=configfile.get_list(
-                values, "date_pattern", preprocess.DEFAULT_DATE_PATTERNS
-            ),
-            url_pattern=get(values, "url_pattern", str, preprocess.DEFAULT_URL_PATTERN),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _event_config(values) -> eventstudy.EventLabelConfig:
-    get = configfile.get_scalar
-    try:
-        return eventstudy.EventLabelConfig(
-            penny_threshold=get(values, "penny_threshold", float, 1.0),
-            outlier_level=get(values, "outlier_level", float, 0.01),
-            window=get(values, "window", int, 30),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _train_config(values, args, gamma: float | None) -> mil.TrainConfig:
-    get = configfile.get_scalar
-    try:
-        return mil.TrainConfig(
-            lam=args.lam if args.lam is not None else get(values, "lambda", float, 10.0),
-            learning_rate=(
-                args.learning_rate
-                if args.learning_rate is not None
-                else get(values, "learning_rate", float, 0.05)
-            ),
-            momentum=(
-                args.momentum
-                if args.momentum is not None
-                else get(values, "momentum", float, 0.8)
-            ),
-            epochs=args.epochs if args.epochs is not None else get(values, "epochs", int, 25),
-            groups_per_batch=get(values, "groups_per_batch", int, 32),
-            kernel_gamma=gamma if gamma is not None else get(values, "kernel_gamma", float, 1.0),
-            seed=args.seed,
-            use_bias=get(values, "use_bias", bool, True),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def _train_config(args) -> mil.TrainConfig:
+    """The config file's training keys, then each flag given on top of its key."""
+    config = _config(args, mil.TrainConfig(), _TRAIN_KEYS)
+    gamma = None if args.gamma == "median" else args.gamma
+    if gamma is not None:
+        try:
+            gamma = float(gamma)
+        except ValueError:
+            raise UsageError(f"--gamma must be a number or 'median', got {gamma!r}")
+    flags = (
+        ("--lambda", "lam", args.lam),
+        ("--learning-rate", "learning_rate", args.learning_rate),
+        ("--momentum", "momentum", args.momentum),
+        ("--epochs", "epochs", args.epochs),
+        ("--gamma", "kernel_gamma", gamma),
+        ("--seed", "seed", args.seed),
+    )
+    for flag, field, value in flags:
+        if value is not None:
+            try:
+                config = replace(config, **{field: value})
+            except ValueError as exc:
+                raise UsageError(f"{flag} {value}: {exc}") from exc
+    return config
 
 
 def _dataclass_dict(obj) -> dict:
@@ -176,9 +171,7 @@ def _dataclass_dict(obj) -> dict:
 
 def cmd_preprocess(args) -> int:
     _require_file(args.corpus_in, "input corpus")
-    values = _load_config_values(args)
-    pconfig = _preprocess_config(values)
-    min_count = configfile.get_scalar(values, "min_count", int, 5)
+    pconfig = _config(args, preprocess.PreprocessConfig(), _PREPROCESS_KEYS)
 
     docs = load_corpus(args.corpus_in)
     split_docs: list[tuple[Document, list[tuple[str, list[str]]]]] = []
@@ -193,7 +186,7 @@ def cmd_preprocess(args) -> int:
         split_docs.append((doc, sentences))
 
     distinct_terms = len({t for tokens in token_lists for t in tokens})
-    vocab = preprocess.build_vocabulary(token_lists, min_count=min_count)
+    vocab = preprocess.build_vocabulary(token_lists, min_count=pconfig.min_count)
 
     processed = []
     for doc, sentences in split_docs:
@@ -211,11 +204,11 @@ def cmd_preprocess(args) -> int:
         _eprint("warning: no documents survived preprocessing")
     _eprint(f"documents: {len(docs)} in, {len(kept)} kept")
     _eprint(f"vocabulary: {distinct_terms} distinct terms, {len(vocab)} retained "
-            f"(min_count={min_count})")
+            f"(min_count={pconfig.min_count})")
 
     manifest = _manifest(
         "preprocess", args,
-        config={**_dataclass_dict(pconfig), "min_count": min_count},
+        config=_dataclass_dict(pconfig),
         inputs={"corpus": args.corpus_in},
         outputs={"corpus": args.corpus_out},
     )
@@ -238,8 +231,7 @@ def cmd_label(args) -> int:
     prices_dir = Path(args.prices_dir)
     if not prices_dir.is_dir():
         raise UsageError(f"prices directory not found: {prices_dir}")
-    values = _load_config_values(args)
-    config = _event_config(values)
+    config = _config(args, eventstudy.EventLabelConfig(), _EVENT_KEYS)
 
     docs = load_corpus(args.corpus_in)
     index = eventstudy.load_price_series(args.index_file, ticker="__index__")
@@ -321,8 +313,10 @@ def _parse_grid(text: str, base: mil.TrainConfig) -> mil.GridSpec:
             )
         try:
             lists[names[key]] = tuple(float(v) for v in raw.split(",") if v.strip())
+            for value in lists[names[key]]:
+                replace(base, **{names[key]: value})
         except ValueError as exc:
-            raise UsageError(f"bad grid values in {part!r}: {exc}") from exc
+            raise UsageError(f"--grid: bad values in {part!r}: {exc}") from exc
         if not lists[names[key]]:
             raise UsageError(f"empty value list in grid entry {part!r}")
     return mil.GridSpec(
@@ -334,22 +328,13 @@ def _parse_grid(text: str, base: mil.TrainConfig) -> mil.GridSpec:
 
 def cmd_train(args) -> int:
     _require_file(args.corpus_in, "input corpus")
-    values = _load_config_values(args)
+    config = _train_config(args)
     docs = load_corpus(args.corpus_in)
     store = _build_store(args)
     dataset = to_mil_dataset(embed.embed_corpus(docs, store))
-
-    gamma: float | None = None
-    if args.gamma is not None:
-        if args.gamma == "median":
-            gamma = mil.median_heuristic_gamma(dataset, seed=args.seed)
-            _eprint(f"median-heuristic gamma: {gamma:.6g}")
-        else:
-            try:
-                gamma = float(args.gamma)
-            except ValueError:
-                raise UsageError(f"--gamma must be a number or 'median', got {args.gamma!r}")
-    config = _train_config(values, args, gamma)
+    if args.gamma == "median":
+        config = replace(config, kernel_gamma=mil.median_heuristic_gamma(dataset, seed=args.seed))
+        _eprint(f"median-heuristic gamma: {config.kernel_gamma:.6g}")
 
     grid_cells = None
     if args.grid:
@@ -433,7 +418,7 @@ def cmd_predict(args) -> int:
             labels = mil.sentence_labels(scores)
             doc_label, n_pos, n_neg = mil.document_vote(labels, scores)
             doc_summaries[doc.id] = {
-                "label": _LABEL_TEXT[doc_label],
+                "label": LABEL_TO_TEXT[doc_label],
                 "positive_sentences": n_pos,
                 "negative_sentences": n_neg,
             }
@@ -628,8 +613,6 @@ def _add_common(parser, *, seed: bool = True, config: bool = True) -> None:
     if config:
         parser.add_argument("--config", help=f"flat key-value config file "
                             f"(default: ${CONFIG_ENV_VAR})")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="bound for parallel sections (default 1, reproducible)")
     parser.add_argument("--manifest", help="override the manifest path")
     if seed:
         parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")

@@ -6,29 +6,7 @@ rejected so typos fail loudly instead of silently using defaults.
 
 from __future__ import annotations
 
-KNOWN_KEYS = frozenset(
-    {
-        # preprocess
-        "min_doc_words",
-        "min_count",
-        "length_percentile",
-        "cutoff_pattern",
-        "date_pattern",
-        "url_pattern",
-        # event study
-        "penny_threshold",
-        "outlier_level",
-        "window",
-        # training
-        "lambda",
-        "learning_rate",
-        "momentum",
-        "epochs",
-        "groups_per_batch",
-        "kernel_gamma",
-        "use_bias",
-    }
-)
+from dataclasses import fields, replace
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
@@ -37,12 +15,13 @@ class ConfigError(Exception):
     """A config file is unreadable or malformed."""
 
 
-def load_flat_config(path) -> dict[str, list[str]]:
+def load_flat_config(path, known_keys) -> dict[str, list[tuple[int, str]]]:
+    """Map each key to its `(line number, raw value)` occurrences, in file order."""
     try:
         handle = open(path, encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    values: dict[str, list[str]] = {}
+    values: dict[str, list[tuple[int, str]]] = {}
     with handle:
         for line_no, line in enumerate(handle, start=1):
             stripped = line.strip()
@@ -52,24 +31,39 @@ def load_flat_config(path) -> dict[str, list[str]]:
             if not sep:
                 raise ConfigError(f"{path}: line {line_no}: expected 'key = value'")
             key = key.strip()
-            if key not in KNOWN_KEYS:
+            if key not in known_keys:
                 raise ConfigError(f"{path}: line {line_no}: unknown key {key!r}")
-            values.setdefault(key, []).append(value.strip())
+            values.setdefault(key, []).append((line_no, value.strip()))
     return values
 
 
-def get_scalar(values: dict[str, list[str]], key: str, cast, default):
-    """Last occurrence wins for scalar keys."""
-    if key not in values:
-        return default
-    raw = values[key][-1]
-    try:
-        if cast is bool:
-            return _BOOL[raw.lower()]
-        return cast(raw)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"config key {key!r}: bad value {raw!r}") from exc
+def apply(path, values: dict[str, list[tuple[int, str]]], base, keys: dict[str, str]):
+    """Return the dataclass `base` with each key of `keys` found in `values`
+    set on its field, cast to the type of the field's default.
 
-
-def get_list(values: dict[str, list[str]], key: str, default: tuple[str, ...]):
-    return tuple(values[key]) if key in values else default
+    A tuple field takes every occurrence of its key, in file order; any other
+    field takes the last. Each value passes through `dataclasses.replace`, so
+    the dataclass's own checks run on it.
+    """
+    defaults = {f.name: f.default for f in fields(base)}
+    config = base
+    for key, field in keys.items():
+        kind = type(defaults[field])
+        occurrences = values.get(key, [])
+        if kind is not tuple:
+            occurrences = occurrences[-1:]
+        for i, (line_no, raw) in enumerate(occurrences):
+            try:
+                if kind is tuple:
+                    # one more entry per step, so a bad entry fails at its own line
+                    value = tuple(r for _, r in occurrences[: i + 1])
+                elif kind is bool:
+                    value = _BOOL.get(raw.lower())
+                    if value is None:
+                        raise ValueError(f"expected one of {', '.join(_BOOL)}")
+                else:
+                    value = kind(raw)
+                config = replace(config, **{field: value})
+            except ValueError as exc:
+                raise ConfigError(f"{path}: line {line_no}: {key} = {raw}: {exc}") from exc
+    return config

@@ -20,7 +20,7 @@ import numpy as np
 POSITIVE = 1
 NEGATIVE = 0
 
-_LABEL_TO_TEXT = {POSITIVE: "pos", NEGATIVE: "neg"}
+LABEL_TO_TEXT = {POSITIVE: "pos", NEGATIVE: "neg"}
 _TEXT_TO_LABEL = {"pos": POSITIVE, "neg": NEGATIVE}
 
 
@@ -210,13 +210,13 @@ def _record_of(doc: Document) -> dict:
             record["sentence_tokens"] = [list(s.tokens) for s in doc.sentences]
         if any(s.predicted_label is not None for s in doc.sentences):
             record["sentence_labels"] = [
-                None if s.predicted_label is None else _LABEL_TO_TEXT[s.predicted_label]
+                None if s.predicted_label is None else LABEL_TO_TEXT[s.predicted_label]
                 for s in doc.sentences
             ]
             if any(s.score is not None for s in doc.sentences):
                 record["sentence_scores"] = [s.score for s in doc.sentences]
     if doc.label is not None:
-        record["label"] = _LABEL_TO_TEXT[doc.label]
+        record["label"] = LABEL_TO_TEXT[doc.label]
     if doc.abnormal_return is not None:
         record["abnormal_return"] = doc.abnormal_return
     return record

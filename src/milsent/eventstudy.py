@@ -63,6 +63,8 @@ class EventLabelConfig:
     window: int = 30
 
     def __post_init__(self):
+        if not math.isfinite(self.penny_threshold):
+            raise ValueError("penny_threshold must be a finite number")
         if not 0 <= self.outlier_level < 0.5:
             raise ValueError("outlier_level must be in [0, 0.5)")
 
@@ -102,7 +104,7 @@ def fit_market_model(
     stock_returns: Sequence[tuple[date, float]],
     market_returns: Sequence[tuple[date, float]],
     event_date: date,
-    window: int = 30,
+    window: int,
 ) -> MarketModel:
     """OLS of stock on market return over `window` days before event_date.
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -52,16 +53,16 @@ class TrainConfig:
     use_bias: bool = True
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be finite and >= 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
         if self.epochs < 0 or self.groups_per_batch < 1:
             raise ValueError("epochs must be >= 0 and groups_per_batch >= 1")
-        if self.kernel_gamma <= 0:
-            raise ValueError("kernel_gamma must be > 0")
+        if not 0 < self.kernel_gamma < math.inf:
+            raise ValueError("kernel_gamma must be finite and > 0")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 

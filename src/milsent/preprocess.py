@@ -62,16 +62,23 @@ ABBREVIATIONS = frozenset(
 @dataclass(frozen=True)
 class PreprocessConfig:
     min_doc_words: int = 50
+    min_count: int = 5
     cutoff_patterns: tuple[str, ...] = DEFAULT_CUTOFF_PATTERNS
     length_percentile: float = 0.01
     date_patterns: tuple[str, ...] = DEFAULT_DATE_PATTERNS
     url_pattern: str = DEFAULT_URL_PATTERN
 
     def __post_init__(self):
+        if self.min_count < 1:
+            raise ValueError("min_count must be >= 1")
         if not 0 < self.length_percentile < 0.5:
             raise ValueError("length_percentile must be in (0, 0.5)")
         object.__setattr__(self, "cutoff_patterns", tuple(self.cutoff_patterns))
         object.__setattr__(self, "date_patterns", tuple(self.date_patterns))
+        for pattern in self.cutoff_patterns:
+            _compile(pattern, re.IGNORECASE)
+        for pattern in (self.url_pattern, *self.date_patterns):
+            _compile(pattern)
 
 
 @dataclass(frozen=True)
@@ -79,7 +86,7 @@ class Vocabulary:
     """Retained term -> count mapping; terms below min_count are dropped."""
 
     counts: dict[str, int]
-    min_count: int = 5
+    min_count: int
 
     def __contains__(self, term: str) -> bool:
         return term in self.counts
@@ -89,9 +96,10 @@ class Vocabulary:
 
 
 def _compile(pattern: str, flags: int = 0) -> re.Pattern:
+    # a huge repeat count overflows, and deep nesting recurses, inside `re`
     try:
         return re.compile(pattern, flags)
-    except re.error as exc:
+    except (re.error, OverflowError, RecursionError) as exc:
         raise ValueError(f"invalid pattern {pattern!r}: {exc}") from exc
 
 
@@ -148,7 +156,7 @@ def tokenize(sentence: str) -> list[str]:
     return _TOKEN.findall(sentence.lower())
 
 
-def build_vocabulary(corpus: Iterable[Sequence[str]], min_count: int = 5) -> Vocabulary:
+def build_vocabulary(corpus: Iterable[Sequence[str]], min_count: int) -> Vocabulary:
     """Count terms over all token sequences and drop those below min_count."""
     if min_count < 1:
         raise ValueError("min_count must be >= 1")

@@ -303,8 +303,7 @@ def test_criterion_09_training_determinism(tmp_path):
 
     corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=30, instances=4, dim=8)
     m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
-    argv = ["--embedding-format", "sentence", "--epochs", "5", "--seed", "11",
-            "--threads", "1"]
+    argv = ["--embedding-format", "sentence", "--epochs", "5", "--seed", "11"]
     rc1 = main(["train", str(corpus), str(vectors), str(m1)] + argv)
     rc2 = main(["train", str(corpus), str(vectors), str(m2)] + argv)
     identical = m1.read_bytes() == m2.read_bytes()

@@ -4,9 +4,12 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from milsent import cli
 from milsent.cli import main
 from milsent.corpus import load_corpus
+from milsent.eventstudy import EventLabelConfig
 from milsent.mil import MilModel, TrainConfig, generate_synthetic, save_model
+from milsent.preprocess import PreprocessConfig
 from conftest import write_jsonl, write_price_csv
 from reference import naive_document_vote
 
@@ -319,8 +322,7 @@ class TestDeterminism:
     def test_same_manifest_gives_byte_identical_models(self, tmp_path):
         corpus, vectors, _ = synthetic_corpus_files(tmp_path)
         m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
-        argv = ["--embedding-format", "sentence", "--epochs", "4", "--seed", "11",
-                "--threads", "1"]
+        argv = ["--embedding-format", "sentence", "--epochs", "4", "--seed", "11"]
         assert main(["train", str(corpus), str(vectors), str(m1)] + argv) == 0
         assert main(["train", str(corpus), str(vectors), str(m2)] + argv) == 0
         assert m1.read_bytes() == m2.read_bytes()
@@ -514,6 +516,136 @@ class TestConfigFile:
         ):
             assert main(argv + ["--config", cfg]) == 2
             assert main(argv) == 0
+
+
+# Every config key: its values in file order, the manifest field that must
+# carry them, and the value expected there (none of them a default).
+KEY_VALUES = {
+    "min_doc_words": (["7"], "min_doc_words", 7),
+    "min_count": (["2"], "min_count", 2),
+    "length_percentile": (["0.2"], "length_percentile", 0.2),
+    "cutoff_pattern": ([r"\bsee also\b", r"\bnotice:"], "cutoff_patterns",
+                       [r"\bsee also\b", r"\bnotice:"]),
+    "date_pattern": ([r"\b\d{4}\b"], "date_patterns", [r"\b\d{4}\b"]),
+    "url_pattern": ([r"https?://\S+"], "url_pattern", r"https?://\S+"),
+    "penny_threshold": (["0.5"], "penny_threshold", 0.5),
+    "outlier_level": (["0"], "outlier_level", 0.0),
+    "window": (["20"], "window", 20),
+    "lambda": (["3"], "lam", 3.0),
+    "learning_rate": (["0.1"], "learning_rate", 0.1),
+    "momentum": (["0.5"], "momentum", 0.5),
+    "epochs": (["1", "2"], "epochs", 2),
+    "groups_per_batch": (["4"], "groups_per_batch", 4),
+    "kernel_gamma": (["0.5"], "kernel_gamma", 0.5),
+    "use_bias": (["no"], "use_bias", False),
+}
+
+# Each training flag, its value, the field it sets and the value expected there.
+TRAIN_FLAGS = [
+    ("--lambda", "4", "lam", 4.0),
+    ("--learning-rate", "0.2", "learning_rate", 0.2),
+    ("--momentum", "0.6", "momentum", 0.6),
+    ("--epochs", "1", "epochs", 1),
+    ("--gamma", "0.25", "kernel_gamma", 0.25),
+]
+
+
+def write_key_values(path):
+    path.write_text("".join(f"{key} = {raw}\n"
+                            for key, (raws, _, _) in KEY_VALUES.items() for raw in raws))
+    return path
+
+
+class TestConfigKeys:
+    def test_every_key_reaches_the_manifest(self, tmp_path):
+        cfg = str(write_key_values(tmp_path / "all.cfg"))
+        raw = news_corpus(tmp_path)
+        prices_dir, index_path = price_fixtures(tmp_path)
+        corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=8)
+        runs = [
+            (cli._PREPROCESS_KEYS, PreprocessConfig(), tmp_path / "p.jsonl",
+             ["preprocess", str(raw)]),
+            (cli._EVENT_KEYS, EventLabelConfig(), tmp_path / "l.jsonl",
+             ["label", str(raw), str(prices_dir), str(index_path)]),
+            (cli._TRAIN_KEYS, TrainConfig(), tmp_path / "m.json",
+             ["train", str(corpus), str(vectors), "--embedding-format", "sentence"]),
+        ]
+        assert set(KEY_VALUES) == {key for keys, *_ in runs for key in keys}
+        for keys, defaults, out, argv in runs:
+            assert main(argv + [str(out), "--config", cfg]) == 0
+            manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+            assert "threads" not in manifest
+            for key in keys:
+                _, field, expected = KEY_VALUES[key]
+                default = getattr(defaults, field)
+                assert expected != (list(default) if isinstance(default, tuple) else default)
+                assert manifest["config"][field] == expected, key
+
+    def test_train_flag_beats_its_key(self, tmp_path):
+        cfg = str(write_key_values(tmp_path / "all.cfg"))
+        corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=8)
+        model = tmp_path / "m.json"
+        flags = [arg for flag, raw, _, _ in TRAIN_FLAGS for arg in (flag, raw)]
+        assert main(["train", str(corpus), str(vectors), str(model), "--embedding-format",
+                     "sentence", "--config", cfg, *flags]) == 0
+        manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+        saved = json.loads(model.read_text())["config"]
+        for flag, _, field, expected in TRAIN_FLAGS:
+            assert manifest["config"][field] == saved[field] == expected, flag
+        assert manifest["config"]["groups_per_batch"] == KEY_VALUES["groups_per_batch"][2]
+
+    @pytest.mark.parametrize("command,lines,line_no", [
+        ("preprocess", ["cutoff_pattern = [unclosed"], 1),
+        ("preprocess", ["min_count = 1", "cutoff_pattern = a{4294967296}"], 2),
+        ("preprocess", ["cutoff_pattern = " + "(" * 1000 + "a" + ")" * 1000], 1),
+        ("preprocess", [r"date_pattern = \d", "date_pattern = [x"], 2),
+        ("preprocess", ["url_pattern = (?<=a+)b"], 1),
+        ("label", ["# prices", "penny_threshold = nan"], 2),
+        ("train", ["lambda = nan"], 1),
+        ("train", ["learning_rate = inf"], 1),
+        ("train", ["use_bias = no", "kernel_gamma = nan"], 2),
+        ("train", ["epochs = x"], 1),
+    ], ids=["unclosed", "overflow", "recursion", "second-date", "url", "penny-nan",
+            "lambda-nan", "learning-rate-inf", "gamma-nan", "epochs-overridden"])
+    def test_bad_value_names_file_and_line(self, tmp_path, capsys, command, lines, line_no):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("".join(line + "\n" for line in lines))
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=5)
+        prices_dir, index_path = price_fixtures(tmp_path)
+        out = tmp_path / "out.json"
+        argv = {
+            "preprocess": ["preprocess", str(empty), str(out)],
+            "label": ["label", str(empty), str(prices_dir), str(index_path), str(out)],
+            # the flag overrides `epochs`, yet a malformed key is still an error
+            "train": ["train", str(corpus), str(vectors), str(out),
+                      "--embedding-format", "sentence", "--epochs", "1"],
+        }[command]
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert f"{cfg}: line {line_no}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--lambda", "nan"), ("--learning-rate", "inf"), ("--gamma", "nan"),
+        ("--grid", "lambda=1,nan"),
+    ])
+    def test_non_finite_flag_is_named(self, tmp_path, capsys, flag, value):
+        corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=5)
+        out = tmp_path / "m.json"
+        assert main(["train", str(corpus), str(vectors), str(out),
+                     "--embedding-format", "sentence", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}") and "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["preprocess", "a", "b"], ["label", "a", "b", "c", "d"], ["train", "a", "b", "c"],
+        ["predict", "a", "b", "c", "d"], ["evaluate", "a", "b"], ["render", "a", "b"],
+    ], ids=lambda argv: argv[0])
+    def test_threads_flag_is_gone(self, capsys, argv):
+        assert main(argv + ["--threads", "1"]) == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 class TestNonFiniteInput:

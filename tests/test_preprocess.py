@@ -48,9 +48,8 @@ class TestCleanText:
         assert clean_text("x CONTACT: y", CFG) == clean_text("x contact: y", CFG) == "x"
 
     def test_invalid_pattern_rejected(self):
-        bad = PreprocessConfig(cutoff_patterns=("[unclosed",))
         with pytest.raises(ValueError, match="invalid pattern"):
-            clean_text("anything", bad)
+            PreprocessConfig(cutoff_patterns=("[unclosed",))
 
     def test_iso_and_numeric_dates(self):
         assert clean_text("on 2005-05-12 and 12.05.2005", CFG) == f"on {DATE} and {DATE}"
