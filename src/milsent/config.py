@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import fields, replace
 
+from milsent.corpus import utf8_lines
+
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
@@ -23,7 +25,7 @@ def load_flat_config(path, known_keys) -> dict[str, list[tuple[int, str]]]:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, list[tuple[int, str]]] = {}
     with handle:
-        for line_no, line in enumerate(handle, start=1):
+        for line_no, line in enumerate(utf8_lines(handle, path, ConfigError), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

@@ -28,6 +28,25 @@ class CorpusError(Exception):
     """A corpus file or document violates its contract."""
 
 
+def utf8_lines(handle, path, error: type[Exception], unit: str = "line"):
+    """The lines of a UTF-8 text handle opened on `path`. Bytes that are not
+    UTF-8 raise `error("<path>: <unit> <n>: not valid UTF-8 (<reason>)")`,
+    n counted from 1. The bad line is found by a second pass over the bytes:
+    a text handle decodes ahead in chunks, so a count kept while reading it
+    can lag behind the bad line."""
+    try:
+        yield from handle
+    except UnicodeDecodeError as exc:
+        line_no = 0
+        with open(path, "rb") as raw:
+            for line_no, line in enumerate(raw, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    break
+        raise error(f"{path}: {unit} {line_no}: not valid UTF-8 ({exc.reason})") from exc
+
+
 @dataclass(frozen=True)
 class SentenceInstance:
     """One sentence of a document: the instance of the MIL problem."""
@@ -179,7 +198,7 @@ def load_corpus(path) -> list[Document]:
     except OSError as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
     with handle:
-        for line_no, line in enumerate(handle, start=1):
+        for line_no, line in enumerate(utf8_lines(handle, path, CorpusError), start=1):
             line = line.strip()
             if not line:
                 continue

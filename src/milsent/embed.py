@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from milsent.corpus import Document
+from milsent.corpus import Document, utf8_lines
 from milsent.preprocess import tokenize
 
 log = logging.getLogger(__name__)
@@ -52,7 +52,7 @@ def _parse_vector_file(path, first_field_name: str, sep: str | None):
     vectors: dict[str, np.ndarray] = {}
     dim = None
     with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
+        for line_no, line in enumerate(utf8_lines(handle, path, EmbeddingError), start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue

@@ -10,7 +10,6 @@ and documents with irrecoverable market data are dropped, with reasons.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from dataclasses import dataclass, replace
 from datetime import date
@@ -18,9 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from milsent.corpus import Document, NEGATIVE, POSITIVE
-
-log = logging.getLogger(__name__)
+from milsent.corpus import Document, NEGATIVE, POSITIVE, utf8_lines
 
 
 class EventStudyError(Exception):
@@ -67,12 +64,14 @@ class EventLabelConfig:
             raise ValueError("penny_threshold must be a finite number")
         if not 0 <= self.outlier_level < 0.5:
             raise ValueError("outlier_level must be in [0, 0.5)")
+        if self.window < 2:
+            raise ValueError("window must be >= 2")
 
 
 def load_price_series(path, ticker: str) -> PriceSeries:
     """Read a `date,close` CSV (header row required)."""
     with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+        reader = csv.reader(utf8_lines(handle, path, EventStudyError, unit="row"))
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["date", "close"]:
             raise EventStudyError(f"{path}: expected header 'date,close'")
@@ -197,14 +196,11 @@ def label_documents(
         series = stock_prices.get(doc.ticker)
         if series is None:
             dropped.append((doc.id, "no price series"))
-            log.warning("document %s: no price series for %s", doc.id, doc.ticker)
             continue
         try:
             ar = _event_ar(doc, series, index_returns, config)
         except EventStudyError as exc:
-            reason = str(exc)
-            dropped.append((doc.id, reason))
-            log.warning("document %s dropped: %s", doc.id, reason)
+            dropped.append((doc.id, str(exc)))
             continue
         scored.append((doc, ar))
 

@@ -8,8 +8,9 @@ label, weighted by `lam`. Minimized by SGD with classical momentum over
 group minibatches; the pair/group normalizers are re-read as batch counts
 on every step, and the exact full-data loss is traced once per epoch. The
 pairwise RBF kernel is streamed over blocks of rows and never held whole, so
-a loss or gradient needs O(n * KERNEL_BLOCK_ROWS) memory for n instances,
-while its time stays O(n^2).
+a loss or gradient needs O(n * KERNEL_BLOCK_ROWS) memory for n instances.
+The kernel is symmetric, so each unordered instance pair is evaluated once,
+about n^2 / 2 kernel entries, and the time stays O(n^2).
 """
 
 from __future__ import annotations
@@ -193,33 +194,45 @@ def group_score(model: MilModel, group) -> float:
 def _pairwise_terms(X: np.ndarray, s: np.ndarray, gamma: float) -> tuple[float, np.ndarray]:
     """sum_ij S_ij (s_i - s_j)^2 and c_i = sum_j S_ij (s_i - s_j), S the RBF
     kernel of X, streamed over blocks of KERNEL_BLOCK_ROWS rows so that no
-    n x n array is ever held. Both come from the explicit difference block,
-    so c is exactly zero when all scores coincide. The per-row totals are
-    summed once at the end, so the order of that sum does not depend on the
-    block size."""
+    n x n array is ever held.
+
+    S is symmetric and s_i - s_j antisymmetric, so each unordered pair is
+    evaluated once: the block of rows [lo, hi) covers only columns [lo, n),
+    its diagonal square and everything to its right. Its row sums add into
+    c[lo:hi]; the column sums of its strictly-right part are subtracted from
+    c[hi:], as S_ij (s_i - s_j) = -S_ji (s_j - s_i). A row's loss total is its
+    diagonal-square sum plus twice its right-part sum. Both come from the
+    explicit difference block, so c and the loss are exactly zero when all
+    scores coincide. The per-row totals are summed once at the end, so the
+    order of that sum does not depend on the block size."""
     n = len(s)
     sq = np.einsum("ij,ij->i", X, X)
     minus_2xt = -2.0 * X.T  # exact: scaling by a power of two
-    c = np.empty(n)
+    c = np.zeros(n)
     row_sq = np.empty(n)
-    # two reused buffers: fresh ones per block would be page-faulted in again
-    block_buf = np.empty((min(n, KERNEL_BLOCK_ROWS), n))
+    # two reused flat buffers, each block a contiguous view of them: fresh
+    # arrays per block would be page-faulted in again, and a strided slice of
+    # a 2-d buffer is slower to sweep
+    block_buf = np.empty(min(n, KERNEL_BLOCK_ROWS) * n)
     diff_buf = np.empty_like(block_buf)
     for lo in range(0, n, KERNEL_BLOCK_ROWS):
         hi = min(lo + KERNEL_BLOCK_ROWS, n)
-        block, diff = block_buf[: hi - lo], diff_buf[: hi - lo]
-        np.matmul(X[lo:hi], minus_2xt, out=block)
+        rows, cols = hi - lo, n - lo
+        block = block_buf[: rows * cols].reshape(rows, cols)
+        diff = diff_buf[: rows * cols].reshape(rows, cols)
+        np.matmul(X[lo:hi], minus_2xt[:, lo:], out=block)
         # squared distances ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j, clipped at 0
-        block += sq[None, :]
+        block += sq[None, lo:]
         block += sq[lo:hi, None]
         np.maximum(block, 0.0, out=block)
         block *= -gamma
         np.exp(block, out=block)
-        np.subtract(s[lo:hi, None], s[None, :], out=diff)
+        np.subtract(s[lo:hi, None], s[None, lo:], out=diff)
         block *= diff
-        c[lo:hi] = block.sum(axis=1)
+        c[lo:hi] += block.sum(axis=1)
+        c[hi:] -= block[:, rows:].sum(axis=0)
         block *= diff
-        row_sq[lo:hi] = block.sum(axis=1)
+        row_sq[lo:hi] = block[:, :rows].sum(axis=1) + 2.0 * block[:, rows:].sum(axis=1)
     return float(np.sum(row_sq)), c
 
 
@@ -444,7 +457,7 @@ def load_model(path) -> MilModel:
     try:
         with open(path, encoding="utf-8") as handle:
             record = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
     if not isinstance(record, dict) or record.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path}: not a {MODEL_FORMAT} file")

@@ -54,6 +54,43 @@ def naive_mil_loss(theta, groups, lam: float, gamma: float, use_bias: bool = Tru
     return pair + lam * group / len(groups)
 
 
+def naive_mil_gradient(theta, groups, lam: float, gamma: float,
+                       use_bias: bool = True) -> list[float]:
+    """Double-loop derivative of `naive_mil_loss` with respect to theta."""
+    instances = []
+    for matrix, _ in groups:
+        for row in matrix:
+            instances.append(list(row))
+    n = len(instances)
+    scores = [naive_instance_score(theta, x, use_bias) for x in instances]
+    # d s_i / d theta = s_i (1 - s_i) x_i, with a trailing 1 for the bias
+    dscores = []
+    for s, x in zip(scores, instances):
+        features = x + [1.0] if use_bias else x
+        dscores.append([s * (1.0 - s) * v for v in features])
+
+    grad = [0.0] * len(theta)
+    for i in range(n):
+        for j in range(n):
+            sq = 0.0
+            for a, b in zip(instances[i], instances[j]):
+                sq += (a - b) ** 2
+            weight = 2.0 * math.exp(-gamma * sq) * (scores[i] - scores[j]) / (n * n)
+            for k in range(len(theta)):
+                grad[k] += weight * (dscores[i][k] - dscores[j][k])
+
+    first = 0
+    for matrix, label in groups:
+        members = range(first, first + len(matrix))
+        first += len(matrix)
+        mean = sum(scores[i] for i in members) / len(matrix)
+        weight = 2.0 * lam * (mean - label) / (len(groups) * len(matrix))
+        for i in members:
+            for k in range(len(theta)):
+                grad[k] += weight * dscores[i][k]
+    return grad
+
+
 def central_difference_gradient(loss_fn, theta, h: float = 1e-5) -> np.ndarray:
     """Central finite differences of a scalar loss in each coordinate."""
     theta = np.asarray(theta, dtype=float)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import milsent
 from milsent import cli
 from milsent.cli import main
 from milsent.corpus import load_corpus
@@ -193,6 +198,25 @@ class TestLabel:
         err = capsys.readouterr().err
         assert "no documents could be labeled" in err
         assert "zero abnormal return" in err
+
+    def test_each_drop_is_listed_once(self, tmp_path):
+        # a separate process, so that a log record would reach the real stderr
+        raw = tmp_path / "raw.jsonl"
+        write_jsonl(raw, [
+            {"id": "orphan-doc", "ticker": "NOPE", "published_at": "2005-02-14", "text": "x"},
+            {"id": "early-doc", "ticker": "AAA", "published_at": "2005-01-02", "text": "x"},
+        ])
+        prices_dir, index_path = price_fixtures(tmp_path)
+        cfg = write_config(tmp_path / "demo.cfg")
+        env = {**os.environ, "PYTHONPATH": str(Path(milsent.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "milsent.cli", "label", str(raw), str(prices_dir),
+             str(index_path), str(tmp_path / "labeled.jsonl"), "--config", str(cfg)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("orphan-doc") == 1
+        assert proc.stderr.count("early-doc") == 1
 
 
 class TestTrain:
@@ -601,12 +625,13 @@ class TestConfigKeys:
         ("preprocess", [r"date_pattern = \d", "date_pattern = [x"], 2),
         ("preprocess", ["url_pattern = (?<=a+)b"], 1),
         ("label", ["# prices", "penny_threshold = nan"], 2),
+        ("label", ["outlier_level = 0", "window = 1"], 2),
         ("train", ["lambda = nan"], 1),
         ("train", ["learning_rate = inf"], 1),
         ("train", ["use_bias = no", "kernel_gamma = nan"], 2),
         ("train", ["epochs = x"], 1),
     ], ids=["unclosed", "overflow", "recursion", "second-date", "url", "penny-nan",
-            "lambda-nan", "learning-rate-inf", "gamma-nan", "epochs-overridden"])
+            "window-one", "lambda-nan", "learning-rate-inf", "gamma-nan", "epochs-overridden"])
     def test_bad_value_names_file_and_line(self, tmp_path, capsys, command, lines, line_no):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("".join(line + "\n" for line in lines))
@@ -717,4 +742,44 @@ class TestNonFiniteInput:
                    "--embedding-format", "sentence"])
         assert rc == 1
         assert "g000" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("reader,code,where", [
+        ("config", 2, "line 2"),
+        ("corpus", 1, "line 2"),
+        # past the first chunk a text handle decodes ahead
+        ("vectors", 1, "line 150"),
+        ("prices", 1, "row 5"),
+        ("model", 2, ""),
+    ], ids=["config", "corpus", "vectors", "prices", "model"])
+    def test_bad_bytes_name_the_file(self, tmp_path, capsys, reader, code, where):
+        raw = news_corpus(tmp_path)
+        cfg = write_config(tmp_path / "demo.cfg")
+        prices_dir, index_path = price_fixtures(tmp_path)
+        corpus, vectors, _ = synthetic_corpus_files(tmp_path)
+        model = tmp_path / "model.json"
+        save_model(MilModel(theta=np.zeros(9), dim=8, config=TrainConfig()), model)
+        out = tmp_path / "out.jsonl"
+        preprocess = ["preprocess", str(raw), str(out), "--config", str(cfg)]
+        bad_file, argv = {
+            "config": (cfg, preprocess),
+            "corpus": (raw, preprocess),
+            "vectors": (vectors, ["train", str(corpus), str(vectors), str(out),
+                                  "--embedding-format", "sentence", "--epochs", "1"]),
+            "prices": (prices_dir / "BBB.csv",
+                       ["label", str(raw), str(prices_dir), str(index_path), str(out),
+                        "--config", str(cfg)]),
+            "model": (model, ["predict", str(model), str(corpus), str(vectors), str(out),
+                              "--embedding-format", "sentence"]),
+        }[reader]
+        line_no = int(where.split()[1]) if where else 1
+        lines = bad_file.read_bytes().split(b"\n")
+        lines[line_no - 1] = b"\xff" + lines[line_no - 1]
+        bad_file.write_bytes(b"\n".join(lines))
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert f"{bad_file}: {where}" in err
+        assert "UTF-8" in err or "utf-8" in err
         assert not out.exists()

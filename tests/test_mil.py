@@ -34,6 +34,7 @@ from milsent.mil import (
 from reference import (
     central_difference_gradient,
     naive_document_vote,
+    naive_mil_gradient,
     naive_mil_loss,
     relative_gradient_error,
     scalar_sigmoid,
@@ -273,11 +274,14 @@ def batch_of_size(rng, n, dim=8, group_size=5):
 
 
 # instance counts against the kernel's row block: several blocks with a
-# ragged last one, exactly one block, and less than one block
+# ragged last one, exactly one block, less than one block, a last block of
+# one row, and a single instance
 BLOCK_CASES = {
     "ragged": 2 * mil.KERNEL_BLOCK_ROWS + 7,
     "one_block": mil.KERNEL_BLOCK_ROWS,
     "short": mil.KERNEL_BLOCK_ROWS - 3,
+    "one_row_last": mil.KERNEL_BLOCK_ROWS + 1,
+    "single": 1,
 }
 
 
@@ -291,6 +295,15 @@ class TestKernelBlocks:
             fast = loss(model_of(theta, dim=8), batch, lam, gamma)
             slow = naive_mil_loss(theta, batch.groups, lam, gamma)
             assert abs(fast - slow) < 1e-12
+
+    def test_gradient_matches_naive_double_loop(self, n):
+        rng = np.random.default_rng(n + 3)
+        batch = batch_of_size(rng, n)
+        for lam, gamma in ((0.0, 0.05), (10.0, 0.5)):
+            theta = rng.standard_normal(9)
+            fast = gradient(model_of(theta, dim=8), batch, lam, gamma)
+            slow = naive_mil_gradient(theta, batch.groups, lam, gamma)
+            assert relative_gradient_error(fast, slow) < 1e-10
 
     def test_gradient_matches_central_finite_differences(self, n):
         rng = np.random.default_rng(n + 1)
