@@ -339,7 +339,7 @@ def cmd_train(args) -> int:
     grid_cells = None
     if args.grid:
         spec = _parse_grid(args.grid, config)
-        config, cells = mil.grid_search(dataset, spec, config)
+        config, cells, result = mil.grid_search(dataset, spec, config)
         grid_cells = [
             {"lambda": c.lam, "learning_rate": c.learning_rate, "momentum": c.momentum,
              "accuracy": c.accuracy, "error": c.error}
@@ -356,8 +356,8 @@ def cmd_train(args) -> int:
             f"selected: lambda={config.lam} learning_rate={config.learning_rate} "
             f"momentum={config.momentum}"
         )
-
-    result = mil.train(dataset, config)
+    else:
+        result = mil.train(dataset, config)
     accuracy = mil.document_accuracy(result.model, dataset)
     mil.save_model(result.model, args.model_out)
 

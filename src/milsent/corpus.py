@@ -132,14 +132,22 @@ class MilDataset:
         return sum(len(matrix) for matrix, _ in self.groups)
 
 
-def _parse_record(obj: dict, line_no: int) -> Document:
+def _parse_record(line: str) -> Document:
+    """The document of one corpus line. Errors say what is wrong;
+    `load_corpus` prefixes them with the file and the line."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"malformed record: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise CorpusError("record is not an object")
     for key in ("id", "ticker", "published_at", "text"):
         if key not in obj:
-            raise CorpusError(f"line {line_no}: record missing required field {key!r}")
+            raise CorpusError(f"record missing required field {key!r}")
     try:
         published = date.fromisoformat(str(obj["published_at"]))
     except ValueError as exc:
-        raise CorpusError(f"line {line_no}: bad published_at: {exc}") from exc
+        raise CorpusError(f"bad published_at: {exc}") from exc
 
     label = None
     if obj.get("label") is not None:
@@ -147,7 +155,7 @@ def _parse_record(obj: dict, line_no: int) -> Document:
             label = _TEXT_TO_LABEL[obj["label"]]
         except KeyError:
             raise CorpusError(
-                f"line {line_no}: label must be 'pos' or 'neg', got {obj['label']!r}"
+                f"label must be 'pos' or 'neg', got {obj['label']!r}"
             ) from None
 
     texts = obj.get("sentences") or []
@@ -155,16 +163,15 @@ def _parse_record(obj: dict, line_no: int) -> Document:
     labels = obj.get("sentence_labels") or [None] * len(texts)
     scores = obj.get("sentence_scores") or [None] * len(texts)
     if not (len(texts) == len(tokens) == len(labels) == len(scores)):
-        raise CorpusError(f"line {line_no}: sentence arrays have mismatched lengths")
+        raise CorpusError("sentence arrays have mismatched lengths")
 
     sentences = []
     for text, toks, lab, score in zip(texts, tokens, labels, scores):
         if score is not None and not (type(score) in (int, float) and np.isfinite(score)):
-            raise CorpusError(f"line {line_no}: sentence score must be a finite number, "
-                              f"got {score!r}")
+            raise CorpusError(f"sentence score must be a finite number, got {score!r}")
         if lab is not None:
             if lab not in _TEXT_TO_LABEL:
-                raise CorpusError(f"line {line_no}: bad sentence label {lab!r}")
+                raise CorpusError(f"bad sentence label {lab!r}")
             lab = _TEXT_TO_LABEL[lab]
         sentences.append(
             SentenceInstance(
@@ -175,22 +182,20 @@ def _parse_record(obj: dict, line_no: int) -> Document:
             )
         )
 
-    try:
-        return Document(
-            id=str(obj["id"]),
-            ticker=str(obj["ticker"]),
-            published_at=published,
-            raw_text=obj["text"],
-            sentences=tuple(sentences),
-            label=label,
-            abnormal_return=obj.get("abnormal_return"),
-        )
-    except CorpusError as exc:
-        raise CorpusError(f"line {line_no}: {exc}") from exc
+    return Document(
+        id=str(obj["id"]),
+        ticker=str(obj["ticker"]),
+        published_at=published,
+        raw_text=obj["text"],
+        sentences=tuple(sentences),
+        label=label,
+        abnormal_return=obj.get("abnormal_return"),
+    )
 
 
 def load_corpus(path) -> list[Document]:
-    """Read a JSON-Lines corpus file; malformed records name their line."""
+    """Read a JSON-Lines corpus file; an error in a record names the file
+    and the line."""
     docs: list[Document] = []
     seen: set[str] = set()
     try:
@@ -203,14 +208,11 @@ def load_corpus(path) -> list[Document]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {line_no}: malformed record: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise CorpusError(f"line {line_no}: record is not an object")
-            doc = _parse_record(obj, line_no)
-            if doc.id in seen:
-                raise CorpusError(f"line {line_no}: duplicate document id {doc.id!r}")
+                doc = _parse_record(line)
+                if doc.id in seen:
+                    raise CorpusError(f"duplicate document id {doc.id!r}")
+            except CorpusError as exc:
+                raise CorpusError(f"{path}: line {line_no}: {exc}") from exc
             seen.add(doc.id)
             docs.append(doc)
     return docs

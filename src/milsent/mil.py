@@ -6,11 +6,13 @@ differences between similar instances, averaged over all ordered instance
 pairs, and a squared error between each group's mean instance score and its
 label, weighted by `lam`. Minimized by SGD with classical momentum over
 group minibatches; the pair/group normalizers are re-read as batch counts
-on every step, and the exact full-data loss is traced once per epoch. The
-pairwise RBF kernel is streamed over blocks of rows and never held whole, so
-a loss or gradient needs O(n * KERNEL_BLOCK_ROWS) memory for n instances.
-The kernel is symmetric, so each unordered instance pair is evaluated once,
-about n^2 / 2 kernel entries, and the time stays O(n^2).
+on every step. The pairwise RBF kernel is streamed over blocks of rows and
+never held whole, so a loss or gradient needs O(n * KERNEL_BLOCK_ROWS)
+memory for n instances. The kernel is symmetric, so each unordered instance
+pair is evaluated once, about n^2 / 2 kernel entries, and the time stays
+O(n^2). One kernel sweep serves any number of score columns: training keeps
+the scores after every epoch and traces the exact full-data loss of all
+epochs in a single sweep at the end, not one sweep per epoch.
 """
 
 from __future__ import annotations
@@ -109,16 +111,6 @@ def sigmoid(z):
     return out if out.ndim else float(out)
 
 
-def rbf_similarity(x, y, gamma: float = 1.0) -> float:
-    """exp(-gamma * ||x - y||^2), in (0, 1]."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    diff = x - y
-    return float(np.exp(-gamma * np.dot(diff, diff)))
-
-
 def _groups_of(batch) -> tuple[Group, ...]:
     groups = batch.groups if isinstance(batch, MilDataset) else tuple(batch)
     if not groups:
@@ -178,48 +170,40 @@ def document_vote(labels, scores=None) -> tuple[int | None, int, int]:
     return label, positive, negative
 
 
-def instance_score(model: MilModel, x) -> float:
-    """Sigmoid of the linear score for one instance vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.dim,):
-        raise ValueError(f"expected vector of dimension {model.dim}, got {x.shape}")
-    return float(sentence_scores(model, x[None, :])[0])
+def _pairwise_terms(
+    X: np.ndarray, S: np.ndarray, gamma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each column s of the n x k score matrix S: sum_ij K_ij (s_i - s_j)^2
+    and c_i = sum_j K_ij (s_i - s_j), K the RBF kernel of X, streamed over
+    blocks of KERNEL_BLOCK_ROWS rows so that no n x n array is ever held.
+    Returns the k sums and the n x k matrix C of the c columns.
 
+    Both come from the graph-Laplacian form: with d = K 1 and each column
+    shifted by its first entry, s' = s - s_0, c = d * s' - K s' and the sum
+    is 2 sum_i s'_i c_i. A constant column has s' = 0, so its c and its sum
+    are exactly zero. One pass accumulates M = K [1 | S'].
 
-def group_score(model: MilModel, group) -> float:
-    """Arithmetic mean of instance scores over a non-empty group."""
-    return float(np.mean(sentence_scores(model, group)))
-
-
-def _pairwise_terms(X: np.ndarray, s: np.ndarray, gamma: float) -> tuple[float, np.ndarray]:
-    """sum_ij S_ij (s_i - s_j)^2 and c_i = sum_j S_ij (s_i - s_j), S the RBF
-    kernel of X, streamed over blocks of KERNEL_BLOCK_ROWS rows so that no
-    n x n array is ever held.
-
-    S is symmetric and s_i - s_j antisymmetric, so each unordered pair is
-    evaluated once: the block of rows [lo, hi) covers only columns [lo, n),
-    its diagonal square and everything to its right. Its row sums add into
-    c[lo:hi]; the column sums of its strictly-right part are subtracted from
-    c[hi:], as S_ij (s_i - s_j) = -S_ji (s_j - s_i). A row's loss total is its
-    diagonal-square sum plus twice its right-part sum. Both come from the
-    explicit difference block, so c and the loss are exactly zero when all
-    scores coincide. The per-row totals are summed once at the end, so the
-    order of that sum does not depend on the block size."""
-    n = len(s)
+    K is symmetric, so each unordered pair is evaluated once: the block of
+    rows [lo, hi) covers only columns [lo, n), its diagonal square and
+    everything to its right. It adds its product with [1 | S'][lo:] into
+    M[lo:hi], and the transpose of its strictly-right part times
+    [1 | S'][lo:hi] into M[hi:]."""
+    n, k = S.shape
     sq = np.einsum("ij,ij->i", X, X)
     minus_2xt = -2.0 * X.T  # exact: scaling by a power of two
-    c = np.zeros(n)
-    row_sq = np.empty(n)
-    # two reused flat buffers, each block a contiguous view of them: fresh
+    ones_shifted = np.empty((n, k + 1))
+    ones_shifted[:, 0] = 1.0
+    shifted = ones_shifted[:, 1:]
+    np.subtract(S, S[:1], out=shifted)
+    M = np.zeros((n, k + 1))
+    # one reused flat buffer, each block a contiguous view of it: fresh
     # arrays per block would be page-faulted in again, and a strided slice of
     # a 2-d buffer is slower to sweep
     block_buf = np.empty(min(n, KERNEL_BLOCK_ROWS) * n)
-    diff_buf = np.empty_like(block_buf)
     for lo in range(0, n, KERNEL_BLOCK_ROWS):
         hi = min(lo + KERNEL_BLOCK_ROWS, n)
         rows, cols = hi - lo, n - lo
         block = block_buf[: rows * cols].reshape(rows, cols)
-        diff = diff_buf[: rows * cols].reshape(rows, cols)
         np.matmul(X[lo:hi], minus_2xt[:, lo:], out=block)
         # squared distances ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j, clipped at 0
         block += sq[None, lo:]
@@ -227,38 +211,41 @@ def _pairwise_terms(X: np.ndarray, s: np.ndarray, gamma: float) -> tuple[float, 
         np.maximum(block, 0.0, out=block)
         block *= -gamma
         np.exp(block, out=block)
-        np.subtract(s[lo:hi, None], s[None, lo:], out=diff)
-        block *= diff
-        c[lo:hi] += block.sum(axis=1)
-        c[hi:] -= block[:, rows:].sum(axis=0)
-        block *= diff
-        row_sq[lo:hi] = block[:, :rows].sum(axis=1) + 2.0 * block[:, rows:].sum(axis=1)
-    return float(np.sum(row_sq)), c
+        M[lo:hi] += block @ ones_shifted[lo:]
+        M[hi:] += block[:, rows:].T @ ones_shifted[lo:hi]
+    C = M[:, :1] * shifted - M[:, 1:]
+    return 2.0 * np.einsum("ik,ik->k", shifted, C), C
 
 
-def _group_errors(s: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Mean instance score minus label, per group."""
-    return np.add.reduceat(s, np.cumsum(sizes) - sizes) / sizes - labels
+def _group_errors(S: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Mean instance score minus label, per group (row) and score column."""
+    means = np.add.reduceat(S, np.cumsum(sizes) - sizes, axis=0) / sizes[:, None]
+    return means - labels[:, None]
+
+
+def _losses(X, S, labels, sizes, lam, gamma) -> np.ndarray:
+    """The training loss of each score column of S over the stacked batch X."""
+    n = len(X)
+    pairwise, _ = _pairwise_terms(X, S, gamma)
+    group_sq = np.sum(_group_errors(S, labels, sizes) ** 2, axis=0)
+    return pairwise / (n * n) + lam * group_sq / len(labels)
 
 
 def _loss(theta, use_bias, groups, lam, gamma) -> float:
     X, labels, sizes = _stack(groups)
     s = _raw_scores(theta, use_bias, X)
-    n = len(s)
-    pairwise, _ = _pairwise_terms(X, s, gamma)
-    group_sq = float(np.sum(_group_errors(s, labels, sizes) ** 2))
-    return pairwise / (n * n) + lam * group_sq / len(groups)
+    return float(_losses(X, s[:, None], labels, sizes, lam, gamma)[0])
 
 
 def _gradient(theta, use_bias, groups, lam, gamma) -> np.ndarray:
     X, labels, sizes = _stack(groups)
     s = _raw_scores(theta, use_bias, X)
     n = len(s)
-    _, c = _pairwise_terms(X, s, gamma)
+    _, C = _pairwise_terms(X, s[:, None], gamma)
     # d loss / d z_i for the linear score z_i: s_i (1 - s_i) times the
     # pairwise part plus the group part shared by every instance of a group
-    group_part = np.repeat(2.0 * _group_errors(s, labels, sizes) / sizes, sizes)
-    weight = s * (1.0 - s) * ((4.0 / (n * n)) * c + (lam / len(groups)) * group_part)
+    group_part = np.repeat(2.0 * _group_errors(s[:, None], labels, sizes)[:, 0] / sizes, sizes)
+    weight = s * (1.0 - s) * ((4.0 / (n * n)) * C[:, 0] + (lam / len(groups)) * group_part)
     grad = X.T @ weight
     return np.append(grad, np.sum(weight)) if use_bias else grad
 
@@ -294,7 +281,11 @@ def train(dataset: MilDataset, config: TrainConfig | None = None) -> TrainResult
     velocity = np.zeros(n_params)
 
     lam, gamma = config.lam, config.kernel_gamma
-    trace = [_loss(theta, config.use_bias, groups, lam, gamma)]
+    X, labels, sizes = _stack(groups)
+    # full-data scores before training and after every epoch; their losses
+    # are traced in one kernel sweep once training ends
+    scores = np.empty((len(X), config.epochs + 1))
+    scores[:, 0] = _raw_scores(theta, config.use_bias, X)
     order = np.arange(len(groups))
     for epoch in range(config.epochs):
         rng.shuffle(order)
@@ -307,17 +298,18 @@ def train(dataset: MilDataset, config: TrainConfig | None = None) -> TrainResult
                 )
             velocity = config.momentum * velocity - config.learning_rate * grad
             theta = theta + velocity
-        full = _loss(theta, config.use_bias, groups, lam, gamma)
-        if not np.isfinite(full):
+        # the full loss is finite exactly when these scores are
+        scores[:, epoch + 1] = _raw_scores(theta, config.use_bias, X)
+        if not np.all(np.isfinite(scores[:, epoch + 1])):
             raise TrainingError(f"non-finite loss after epoch {epoch + 1}")
-        trace.append(full)
+    trace = _losses(X, scores, labels, sizes, lam, gamma)
     model = MilModel(theta=theta, dim=dataset.dim, config=config)
-    return TrainResult(model=model, loss_trace=tuple(trace))
+    return TrainResult(model=model, loss_trace=tuple(float(v) for v in trace))
 
 
 def predict_sentence(model: MilModel, x) -> tuple[int, float]:
     """(label, score); score >= 0.5 predicts positive."""
-    score = instance_score(model, x)
+    score = float(sentence_scores(model, np.asarray(x, dtype=float)[None])[0])
     return int(sentence_labels(score)), score
 
 
@@ -347,14 +339,16 @@ class GridCell:
 
 def grid_search(
     dataset: MilDataset, grid: GridSpec, base: TrainConfig | None = None
-) -> tuple[TrainConfig, list[GridCell]]:
+) -> tuple[TrainConfig, list[GridCell], TrainResult]:
     """Train every configuration in the grid; keep the one with the highest
     in-sample document accuracy. Ties break toward smaller lam, then smaller
     learning rate, then smaller momentum. Per-cell failures are recorded,
-    not raised.
+    not raised. Returns the selected configuration, every cell, and the
+    selected cell's training result.
     """
     base = base or TrainConfig()
     cells: list[GridCell] = []
+    results: dict[int, TrainResult] = {}
     for lam, lr, mom in itertools.product(
         grid.lam_values, grid.learning_rate_values, grid.momentum_values
     ):
@@ -362,15 +356,15 @@ def grid_search(
         try:
             result = train(dataset, config)
             accuracy = document_accuracy(result.model, dataset)
+            results[len(cells)] = result
             cells.append(GridCell(lam, lr, mom, accuracy))
         except (TrainingError, ValueError) as exc:
             cells.append(GridCell(lam, lr, mom, None, error=str(exc)))
-    viable = [c for c in cells if c.accuracy is not None]
-    if not viable:
+    if not results:
         raise TrainingError("every grid configuration failed to train")
-    best = min(viable, key=lambda c: (-c.accuracy, c.lam, c.learning_rate, c.momentum))
-    return replace(base, lam=best.lam, learning_rate=best.learning_rate,
-                   momentum=best.momentum), cells
+    best = min(results, key=lambda i: (-cells[i].accuracy, cells[i].lam,
+                                       cells[i].learning_rate, cells[i].momentum))
+    return results[best].model.config, cells, results[best]
 
 
 def median_heuristic_gamma(

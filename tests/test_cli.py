@@ -245,6 +245,24 @@ class TestTrain:
                     + ["--grid", "lambda=10;learning_rate=0.05;momentum=0.8"]) == 0
         assert plain.read_bytes() == gridded.read_bytes()
 
+    def test_grid_trains_each_cell_once(self, tmp_path, monkeypatch):
+        # the selected cell's result is kept, not trained a second time
+        corpus, vectors, _ = synthetic_corpus_files(tmp_path)
+        calls = []
+        real_train = cli.mil.train
+
+        def counting(dataset, config=None):
+            calls.append(config)
+            return real_train(dataset, config)
+
+        monkeypatch.setattr(cli.mil, "train", counting)
+        rc = main(["train", str(corpus), str(vectors), str(tmp_path / "model.json"),
+                   "--embedding-format", "sentence", "--epochs", "2", "--seed", "3",
+                   "--grid", "lambda=1,10;learning_rate=0.05;momentum=0,0.8"])
+        assert rc == 0
+        assert len(calls) == 4
+        assert len(set(calls)) == 4
+
     def test_conflicting_dim_is_usage_error(self, tmp_path, capsys):
         corpus, vectors, _ = synthetic_corpus_files(tmp_path)
         model_path = tmp_path / "model.json"
@@ -456,6 +474,16 @@ class TestEvaluate:
         rc = main(["evaluate", str(gold), f"m={bad}", "--mode", "sentence"])
         assert rc == 1
         assert "mismatch" in capsys.readouterr().err
+
+    def test_malformed_record_names_its_file(self, tmp_path, capsys):
+        # with several corpus inputs only the file name tells which is broken
+        gold, perfect, _ = evaluation_files(tmp_path)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(perfect.read_text().splitlines()[0] + "\n{bad json\n")
+        rc = main(["evaluate", str(gold), f"mil={bad}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: line 2: malformed record" in err
 
 
 class TestRender:

@@ -18,14 +18,11 @@ from milsent.mil import (
     generate_synthetic,
     gradient,
     grid_search,
-    group_score,
-    instance_score,
     load_model,
     loss,
     median_heuristic_gamma,
     predict_document,
     predict_sentence,
-    rbf_similarity,
     save_model,
     sentence_scores,
     sigmoid,
@@ -75,70 +72,70 @@ class TestSigmoid:
         np.testing.assert_allclose(sigmoid(zs), [scalar_sigmoid(z) for z in zs], atol=1e-15)
 
 
+def kernel_entry(x, y, gamma=1.0):
+    """K_xy of the streamed kernel: with scores (0, 1), c_0 = -K_xy exactly."""
+    X = np.array([x, y], dtype=float)
+    _, C = mil._pairwise_terms(X, np.array([[0.0], [1.0]]), gamma)
+    return -C[0, 0]
+
+
+def score_of(model, x):
+    return predict_sentence(model, x)[1]
+
+
 class TestRbfSimilarity:
     def test_identical_vectors(self):
         x = np.array([0.3, -1.2, 4.0])
-        assert rbf_similarity(x, x) == 1.0
+        assert kernel_entry(x, x) == 1.0
 
     def test_unit_distance(self):
-        assert rbf_similarity(np.array([0.0, 0.0]), np.array([1.0, 0.0]), 1.0) == (
+        assert kernel_entry(np.array([0.0, 0.0]), np.array([1.0, 0.0]), 1.0) == (
             pytest.approx(math.exp(-1.0))
         )
 
     def test_symmetric(self):
+        # only the upper triangle is evaluated, and swapping the rows changes
+        # the order in which the squared norms are added
         rng = np.random.default_rng(0)
         for _ in range(10):
             x, y = rng.standard_normal(6), rng.standard_normal(6)
-            assert rbf_similarity(x, y, 0.7) == rbf_similarity(y, x, 0.7)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            rbf_similarity(np.zeros(3), np.zeros(4))
+            assert kernel_entry(x, y, 0.7) == pytest.approx(kernel_entry(y, x, 0.7),
+                                                            rel=1e-14)
 
     def test_gamma_scales_distance(self):
         x, y = np.zeros(2), np.array([2.0, 0.0])
-        assert rbf_similarity(x, y, 0.5) == pytest.approx(math.exp(-2.0))
+        assert kernel_entry(x, y, 0.5) == pytest.approx(math.exp(-2.0))
 
 
 class TestScores:
     def test_zero_theta_scores_half(self):
         model = model_of(np.zeros(5), dim=4)
-        assert instance_score(model, np.array([3.0, -1.0, 2.0, 9.0])) == 0.5
+        assert score_of(model, np.array([3.0, -1.0, 2.0, 9.0])) == 0.5
 
     def test_unit_weight_on_first_axis(self):
         model = model_of([1.0, 0.0, 0.0, 0.0, 0.0], dim=4)
         e1 = np.array([1.0, 0.0, 0.0, 0.0])
-        assert instance_score(model, e1) == pytest.approx(scalar_sigmoid(1.0))
+        assert score_of(model, e1) == pytest.approx(scalar_sigmoid(1.0))
 
     def test_monotone_in_linear_score(self):
         model = model_of([2.0, 0.0], dim=1)
         xs = np.linspace(-3, 3, 20)
-        scores = [instance_score(model, np.array([x])) for x in xs]
+        scores = [score_of(model, np.array([x])) for x in xs]
         assert all(a < b for a, b in zip(scores, scores[1:]))
 
     def test_dimension_check(self):
         with pytest.raises(ValueError):
-            instance_score(model_of(np.zeros(3), dim=2), np.zeros(5))
+            predict_sentence(model_of(np.zeros(3), dim=2), np.zeros(5))
+        with pytest.raises(ValueError):
+            predict_sentence(model_of(np.zeros(3), dim=2), np.zeros((1, 2)))
 
     def test_bias_component_shifts_score(self):
         with_bias = model_of([0.0, 1.0], dim=1)
-        assert instance_score(with_bias, np.zeros(1)) == pytest.approx(scalar_sigmoid(1.0))
+        assert score_of(with_bias, np.zeros(1)) == pytest.approx(scalar_sigmoid(1.0))
 
     def test_no_bias_mode(self):
         model = model_of([1.0], dim=1, config=NO_BIAS)
-        assert instance_score(model, np.array([2.0])) == pytest.approx(scalar_sigmoid(2.0))
-
-    def test_group_score_mean(self):
-        model = model_of([1.0, 0.0], dim=1)
-        group = np.array([[scalar_logit(0.2)], [scalar_logit(0.8)]])
-        assert group_score(model, group) == pytest.approx(0.5, abs=1e-12)
-
-    def test_group_score_identical_instances(self):
-        model = model_of([1.0, 0.5], dim=1)
-        group = np.array([[0.7], [0.7], [0.7]])
-        assert group_score(model, group) == pytest.approx(
-            instance_score(model, group[0]), abs=1e-15
-        )
+        assert score_of(model, np.array([2.0])) == pytest.approx(scalar_sigmoid(2.0))
 
     def test_overflowing_linear_score_is_an_error(self):
         # the sign of an overflowed dot product depends on the BLAS
@@ -148,18 +145,9 @@ class TestScores:
         with pytest.raises(ValueError, match="row 1"):
             sentence_scores(model, np.array([[0.5, 0.1], huge]))
         with pytest.raises(ValueError, match="row 0"):
-            instance_score(model, np.array(huge))
+            predict_sentence(model, np.array(huge))
         with pytest.raises(ValueError, match="row 0"):
             sentence_scores(model_of([1.0, 1.0], dim=2, config=NO_BIAS), np.array([huge]))
-
-    def test_group_score_empty_group(self):
-        with pytest.raises(ValueError):
-            group_score(model_of(np.zeros(2), dim=1), np.zeros((0, 1)))
-
-    def test_group_score_zero_theta_is_half(self):
-        model = model_of(np.zeros(4), dim=3)
-        group = np.array([[1.0, -2.0, 0.5], [9.0, 9.0, 9.0]])
-        assert group_score(model, group) == 0.5
 
 
 def scalar_logit(p):
@@ -317,6 +305,24 @@ class TestKernelBlocks:
         numeric = central_difference_gradient(loss_at, theta, h=1e-5)
         assert relative_gradient_error(analytic, numeric) < 1e-5
 
+    def test_score_columns_match_naive_double_loop(self, n):
+        # one sweep over several score columns; a constant column in the
+        # middle sums to exactly zero and leaves its neighbours alone
+        rng = np.random.default_rng(n + 4)
+        batch = batch_of_size(rng, n)
+        X = np.vstack([matrix for matrix, _ in batch.groups])
+        thetas = rng.standard_normal((2, 9))
+        gamma = 0.5
+        S = np.column_stack([sigmoid(X @ thetas[0, :-1] + thetas[0, -1]), np.full(n, 0.3),
+                             sigmoid(X @ thetas[1, :-1] + thetas[1, -1])])
+        pairwise, C = mil._pairwise_terms(X, S, gamma)
+        assert pairwise.shape == (3,) and C.shape == (n, 3)
+        for theta, value in zip(thetas, pairwise[[0, 2]]):
+            slow = naive_mil_loss(theta, batch.groups, 0.0, gamma)
+            assert abs(value / (n * n) - slow) < 1e-12
+        assert pairwise[1] == 0.0
+        np.testing.assert_array_equal(C[:, 1], np.zeros(n))
+
     def test_zero_theta_zero_lambda_is_exactly_zero(self, n):
         batch = batch_of_size(np.random.default_rng(n + 2), n)
         model = model_of(np.zeros(9), dim=8)
@@ -371,6 +377,32 @@ class TestTrain:
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(TrainingError, match="epoch 1"):
                 train(bad, TrainConfig(epochs=1))
+
+    def test_trace_ends_match_public_loss(self):
+        dataset, _ = generate_synthetic(40, 5, 8, 3.0, 0.1, seed=4)
+        config = TrainConfig(epochs=4, seed=3, groups_per_batch=8)
+        result = train(dataset, config)
+        theta0 = np.random.default_rng(3).uniform(-0.01, 0.01, size=9)
+        for value, model in ((result.loss_trace[0], model_of(theta0, dim=8)),
+                             (result.loss_trace[-1], result.model)):
+            expected = loss(model, dataset, config.lam, config.kernel_gamma)
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_loss_trace_is_one_full_kernel_sweep(self, monkeypatch):
+        dataset, _ = generate_synthetic(40, 5, 8, 3.0, 0.1, seed=4)
+        n = dataset.n_instances
+        full_sweeps = []
+        pairwise_terms = mil._pairwise_terms
+
+        def counting(X, S, gamma):
+            if len(X) == n:
+                full_sweeps.append(S.shape[1])
+            return pairwise_terms(X, S, gamma)
+
+        monkeypatch.setattr(mil, "_pairwise_terms", counting)
+        result = train(dataset, TrainConfig(epochs=6, groups_per_batch=8))
+        assert full_sweeps == [7]
+        assert len(result.loss_trace) == 7
 
     def test_trace_length(self):
         dataset, _ = generate_synthetic(10, 3, 4, 2.0, 0.0, seed=5)
@@ -450,16 +482,17 @@ class TestGridSearch:
     def test_singleton_grid_returns_that_config(self):
         dataset, _ = generate_synthetic(20, 3, 4, 3.0, 0.0, seed=2)
         grid = GridSpec((10.0,), (0.05,), (0.8,))
-        best, cells = grid_search(dataset, grid, TrainConfig(epochs=2))
+        best, cells, result = grid_search(dataset, grid, TrainConfig(epochs=2))
         assert (best.lam, best.learning_rate, best.momentum) == (10.0, 0.05, 0.8)
         assert len(cells) == 1
+        assert result.model.config == best
 
     def test_tie_broken_by_smaller_lambda(self):
         # epochs=0 makes every configuration identical to its initialization,
         # so all accuracies tie and the smallest lambda must win
         dataset, _ = generate_synthetic(20, 3, 4, 3.0, 0.0, seed=2)
         grid = GridSpec((10.0, 1.0), (0.05,), (0.8,))
-        best, cells = grid_search(dataset, grid, TrainConfig(epochs=0))
+        best, cells, _ = grid_search(dataset, grid, TrainConfig(epochs=0))
         accuracies = {c.accuracy for c in cells}
         assert len(accuracies) == 1
         assert best.lam == 1.0
@@ -468,10 +501,14 @@ class TestGridSearch:
         dataset, _ = generate_synthetic(40, 5, 8, 3.0, 0.0, seed=3)
         # lam=0 cannot learn group structure; lam=10 can
         grid = GridSpec((0.0, 10.0), (0.05,), (0.8,))
-        best, cells = grid_search(dataset, grid, TrainConfig(epochs=8))
+        best, cells, result = grid_search(dataset, grid, TrainConfig(epochs=8))
         by_lam = {c.lam: c.accuracy for c in cells}
         assert by_lam[10.0] > by_lam[0.0]
         assert best.lam == 10.0
+        # the selected cell's own training run, bit-identical to a rerun
+        rerun = train(dataset, best)
+        np.testing.assert_array_equal(result.model.theta, rerun.model.theta)
+        assert result.loss_trace == rerun.loss_trace
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
