@@ -11,6 +11,8 @@ to ``sentences``: ``sentence_tokens``, ``sentence_labels``,
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
 from dataclasses import dataclass, replace
 from datetime import date
 from typing import Iterable, Sequence
@@ -132,6 +134,35 @@ class MilDataset:
         return sum(len(matrix) for matrix, _ in self.groups)
 
 
+def _is_number(value) -> bool:
+    """A JSON number that is finite; booleans are not numbers here."""
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
+_NULL = type(None)
+_LABEL_TEXTS = {*_TEXT_TO_LABEL, None}
+
+
+def _misfit(key: str, what: str, items: list, fits) -> CorpusError:
+    """The error naming the first item of `items` that `fits` rejects. The
+    callers test whole lists at C speed and only come here on failure."""
+    bad = next(v for v in items if not fits(v))
+    return CorpusError(f"{key} must be a list of {what}, got item {bad!r}")
+
+
+def _list_field(obj: dict, key: str, types: set, what: str, n: int) -> list:
+    """The list under `key`, or n nulls when it is absent, null or empty.
+    An item whose type is not in `types` is an error."""
+    value = obj.get(key)
+    if value is None:
+        return [None] * n
+    if not isinstance(value, list):
+        raise CorpusError(f"{key} must be a list of {what}, got {value!r}")
+    if not types.issuperset(map(type, value)):
+        raise _misfit(key, what, value, lambda v: type(v) in types)
+    return value or [None] * n
+
+
 def _parse_record(line: str) -> Document:
     """The document of one corpus line. Errors say what is wrong;
     `load_corpus` prefixes them with the file and the line."""
@@ -144,52 +175,57 @@ def _parse_record(line: str) -> Document:
     for key in ("id", "ticker", "published_at", "text"):
         if key not in obj:
             raise CorpusError(f"record missing required field {key!r}")
+        if not isinstance(obj[key], str):
+            raise CorpusError(f"{key} must be a string, got {obj[key]!r}")
     try:
-        published = date.fromisoformat(str(obj["published_at"]))
+        published = date.fromisoformat(obj["published_at"])
     except ValueError as exc:
         raise CorpusError(f"bad published_at: {exc}") from exc
+    label = obj.get("label")
+    if label is not None and not (isinstance(label, str) and label in _TEXT_TO_LABEL):
+        raise CorpusError(f"label must be 'pos' or 'neg', got {label!r}")
+    abnormal = obj.get("abnormal_return")
+    if abnormal is not None and not _is_number(abnormal):
+        raise CorpusError(f"abnormal_return must be a finite number, got {abnormal!r}")
 
-    label = None
-    if obj.get("label") is not None:
-        try:
-            label = _TEXT_TO_LABEL[obj["label"]]
-        except KeyError:
-            raise CorpusError(
-                f"label must be 'pos' or 'neg', got {obj['label']!r}"
-            ) from None
-
-    texts = obj.get("sentences") or []
-    tokens = obj.get("sentence_tokens") or [None] * len(texts)
-    labels = obj.get("sentence_labels") or [None] * len(texts)
-    scores = obj.get("sentence_scores") or [None] * len(texts)
-    if not (len(texts) == len(tokens) == len(labels) == len(scores)):
+    texts = _list_field(obj, "sentences", {str}, "strings", 0)
+    n = len(texts)
+    what = "string lists or nulls"
+    tokens = _list_field(obj, "sentence_tokens", {list, _NULL}, what, n)
+    try:
+        "".join(chain.from_iterable(filter(None, tokens)))  # a TypeError on a non-string
+    except TypeError:
+        raise _misfit("sentence_tokens", what, tokens,
+                      lambda v: v is None or all(isinstance(t, str) for t in v)) from None
+    what = "'pos', 'neg' or nulls"
+    labels = _list_field(obj, "sentence_labels", {str, _NULL}, what, n)
+    if not _LABEL_TEXTS.issuperset(labels):
+        raise _misfit("sentence_labels", what, labels, lambda v: v in _LABEL_TEXTS)
+    what = "finite numbers or nulls"
+    scores = _list_field(obj, "sentence_scores", {int, float, _NULL}, what, n)
+    if not all(map(math.isfinite, [v for v in scores if type(v) is float])):
+        raise _misfit("sentence_scores", what, scores,
+                      lambda v: type(v) is not float or math.isfinite(v))
+    if not (n == len(tokens) == len(labels) == len(scores)):
         raise CorpusError("sentence arrays have mismatched lengths")
 
-    sentences = []
-    for text, toks, lab, score in zip(texts, tokens, labels, scores):
-        if score is not None and not (type(score) in (int, float) and np.isfinite(score)):
-            raise CorpusError(f"sentence score must be a finite number, got {score!r}")
-        if lab is not None:
-            if lab not in _TEXT_TO_LABEL:
-                raise CorpusError(f"bad sentence label {lab!r}")
-            lab = _TEXT_TO_LABEL[lab]
-        sentences.append(
-            SentenceInstance(
-                text=text,
-                tokens=tuple(toks) if toks else (),
-                predicted_label=lab,
-                score=score,
-            )
+    sentences = [
+        SentenceInstance(
+            text=text,
+            tokens=tuple(toks) if toks else (),
+            predicted_label=_TEXT_TO_LABEL.get(lab),
+            score=score,
         )
-
+        for text, toks, lab, score in zip(texts, tokens, labels, scores)
+    ]
     return Document(
-        id=str(obj["id"]),
-        ticker=str(obj["ticker"]),
+        id=obj["id"],
+        ticker=obj["ticker"],
         published_at=published,
         raw_text=obj["text"],
         sentences=tuple(sentences),
-        label=label,
-        abnormal_return=obj.get("abnormal_return"),
+        label=_TEXT_TO_LABEL.get(label),
+        abnormal_return=abnormal,
     )
 
 

@@ -4,6 +4,10 @@ Three providers: precomputed sentence vectors looked up by key, word
 vectors averaged into sentence vectors, and a seeded hash fallback that
 needs no external model (for tests and offline runs). Averaging is
 order-insensitive, a documented difference from learned sentence encoders.
+
+The hash provider is a vector table filled on demand: each call computes
+the hash vector of each distinct token once, and then averages through the
+same path as word vectors.
 """
 
 from __future__ import annotations
@@ -119,6 +123,21 @@ def _precomputed_vector(store: EmbeddingStore, key: str) -> np.ndarray:
         raise EmbeddingError(f"no precomputed vector for sentence key {key!r}") from None
 
 
+def _hash_table(tokens, store: EmbeddingStore) -> dict[str, np.ndarray]:
+    """The hash vector of each distinct token, each computed once."""
+    return {t: _hash_vector(t, store.dim, store.seed) for t in set(tokens)}
+
+
+def _average(tokens: Sequence[str], vectors: dict[str, np.ndarray], dim: int) -> np.ndarray:
+    # tokens are summed in sorted order so the mean is permutation-invariant
+    # bit for bit, not just up to rounding
+    known = [vectors[t] for t in sorted(tokens) if t in vectors]
+    if not known:
+        log.warning("all %d tokens out of vocabulary; zero vector", len(tokens))
+        return np.zeros(dim)
+    return np.mean(known, axis=0)
+
+
 def embed_sentence(
     tokens: Sequence[str], store: EmbeddingStore, key: str | None = None
 ) -> np.ndarray:
@@ -134,15 +153,9 @@ def embed_sentence(
         if key is None:
             raise EmbeddingError("precomputed-sentence provider requires a sentence key")
         return _precomputed_vector(store, key)
-    # tokens are summed in sorted order so the mean is permutation-invariant
-    # bit for bit, not just up to rounding
-    if store.provider == WORD_AVERAGE:
-        known = [store.vectors[t] for t in sorted(tokens) if t in store.vectors]
-        if not known:
-            log.warning("all %d tokens out of vocabulary; zero vector", len(tokens))
-            return np.zeros(store.dim)
-        return np.mean(known, axis=0)
-    return np.mean([_hash_vector(t, store.dim, store.seed) for t in sorted(tokens)], axis=0)
+    if store.provider == HASH_FALLBACK:
+        return _average(tokens, _hash_table(tokens, store), store.dim)
+    return _average(tokens, store.vectors, store.dim)
 
 
 def sentence_key(doc_id: str, index: int) -> str:
@@ -156,21 +169,27 @@ def embed_corpus(docs: Sequence[Document], store: EmbeddingStore) -> list[Docume
     Sentences that tokenize to nothing receive the zero vector rather than
     failing the whole corpus.
     """
+    if store.provider == PRECOMPUTED_SENTENCE:
+        return [
+            replace(doc, sentences=tuple(
+                replace(s, embedding=_precomputed_vector(store, sentence_key(doc.id, idx)))
+                for idx, s in enumerate(doc.sentences)
+            ))
+            for doc in docs
+        ]
+    tokens = [[s.tokens or tuple(tokenize(s.text)) for s in doc.sentences] for doc in docs]
+    vectors = store.vectors
+    if store.provider == HASH_FALLBACK:
+        vectors = _hash_table((t for doc in tokens for toks in doc for t in toks), store)
     out = []
-    for doc in docs:
+    for doc, doc_tokens in zip(docs, tokens):
         sentences = []
-        for idx, sentence in enumerate(doc.sentences):
-            if store.provider == PRECOMPUTED_SENTENCE:
-                vec = _precomputed_vector(store, sentence_key(doc.id, idx))
+        for idx, (sentence, toks) in enumerate(zip(doc.sentences, doc_tokens)):
+            if toks:
+                vec = _average(toks, vectors, store.dim)
             else:
-                tokens = sentence.tokens or tuple(tokenize(sentence.text))
-                if not tokens:
-                    log.warning(
-                        "document %s: sentence %d has no tokens; zero vector", doc.id, idx
-                    )
-                    vec = np.zeros(store.dim)
-                else:
-                    vec = embed_sentence(tokens, store)
+                log.warning("document %s: sentence %d has no tokens; zero vector", doc.id, idx)
+                vec = np.zeros(store.dim)
             sentences.append(replace(sentence, embedding=vec))
         out.append(replace(doc, sentences=tuple(sentences)))
     return out

@@ -5,12 +5,17 @@ with (alpha, beta) fitted by OLS over a window of trading days immediately
 before the event. The abnormal return is the actual return minus that
 expectation; its sign labels the document. Penny stocks, return outliers,
 and documents with irrecoverable market data are dropped, with reasons.
+
+Labelling aligns each ticker's returns with the index returns once per
+call, one ticker at a time, and finds each document's event day in that
+alignment by bisection.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from datetime import date
 from typing import Mapping, Sequence
@@ -99,6 +104,24 @@ def simple_returns(series: PriceSeries) -> list[tuple[date, float]]:
     return out
 
 
+def _fit(s: np.ndarray, m: np.ndarray, window: int, event_date: date) -> MarketModel:
+    """OLS of stock returns `s` on market returns `m` over their last
+    `window` entries, the paired returns strictly before `event_date`."""
+    if len(s) < window:
+        raise EventStudyError(
+            f"insufficient history before {event_date}: "
+            f"{len(s)} paired returns < window {window}"
+        )
+    s, m = s[-window:], m[-window:]
+    var = float(np.var(m))
+    # ptp catches a constant series even when rounding leaves var != 0
+    if var == 0.0 or np.ptp(m) == 0.0:
+        raise EventStudyError("zero-variance market returns: singular fit")
+    beta = float(np.cov(m, s, bias=True)[0, 1]) / var
+    alpha = float(np.mean(s)) - beta * float(np.mean(m))
+    return MarketModel(alpha=alpha, beta=beta, window=window)
+
+
 def fit_market_model(
     stock_returns: Sequence[tuple[date, float]],
     market_returns: Sequence[tuple[date, float]],
@@ -111,24 +134,10 @@ def fit_market_model(
     fewer is an error rather than a silently shorter fit.
     """
     market = dict(market_returns)
-    paired = [
-        (d, r, market[d]) for d, r in stock_returns if d in market and d < event_date
-    ]
-    if len(paired) < window:
-        raise EventStudyError(
-            f"insufficient history before {event_date}: "
-            f"{len(paired)} paired returns < window {window}"
-        )
-    paired = paired[-window:]
-    s = np.array([r for _, r, _ in paired])
-    m = np.array([r for _, _, r in paired])
-    var = float(np.var(m))
-    # ptp catches a constant series even when rounding leaves var != 0
-    if var == 0.0 or np.ptp(m) == 0.0:
-        raise EventStudyError("zero-variance market returns: singular fit")
-    beta = float(np.cov(m, s, bias=True)[0, 1]) / var
-    alpha = float(np.mean(s)) - beta * float(np.mean(m))
-    return MarketModel(alpha=alpha, beta=beta, window=window)
+    paired = [(r, market[d]) for d, r in stock_returns if d in market and d < event_date]
+    s = np.array([r for r, _ in paired])
+    m = np.array([r for _, r in paired])
+    return _fit(s, m, window, event_date)
 
 
 def abnormal_return(model: MarketModel, stock_return: float, market_return: float) -> float:
@@ -148,29 +157,41 @@ class LabelResult:
         return counts
 
 
-def _event_ar(
-    doc: Document,
-    series: PriceSeries,
-    index_returns: Sequence[tuple[date, float]],
-    config: EventLabelConfig,
-) -> float:
-    stock_returns = simple_returns(series)
-    market = dict(index_returns)
-    paired_days = [d for d, _ in stock_returns if d in market]
+@dataclass(frozen=True)
+class _Aligned:
+    """One ticker's returns on the days that are also index return days."""
+
+    days: list[date]
+    stock: np.ndarray
+    market: np.ndarray
+    prior_close: list[float]  # the close on the price day before each day
+
+
+def _align(series: PriceSeries, market: Mapping[date, float]) -> _Aligned:
+    # A return day is a price day after the first, so the price day before
+    # it, and its close, always exist.
+    rows = [
+        (day, r, market[day], prev)
+        for (day, r), (_, prev) in zip(simple_returns(series), series.observations)
+        if day in market
+    ]
+    return _Aligned(
+        days=[row[0] for row in rows],
+        stock=np.array([row[1] for row in rows]),
+        market=np.array([row[2] for row in rows]),
+        prior_close=[row[3] for row in rows],
+    )
+
+
+def _event_ar(doc: Document, aligned: _Aligned, config: EventLabelConfig) -> float:
     # Announcements on non-trading days take effect the next session.
-    event_day = next((d for d in paired_days if d >= doc.published_at), None)
-    if event_day is None:
+    i = bisect_left(aligned.days, doc.published_at)
+    if i == len(aligned.days):
         raise EventStudyError(f"no trading day on or after {doc.published_at}")
-    prices = dict(series.observations)
-    price_days = [d for d, _ in series.observations]
-    prior_days = [d for d in price_days if d < event_day]
-    if not prior_days:
-        raise EventStudyError("no price before event day")
-    if prices[prior_days[-1]] < config.penny_threshold:
+    if aligned.prior_close[i] < config.penny_threshold:
         raise EventStudyError("penny stock")
-    stock = dict(stock_returns)
-    model = fit_market_model(stock_returns, index_returns, event_day, config.window)
-    return abnormal_return(model, stock[event_day], market[event_day])
+    model = _fit(aligned.stock[:i], aligned.market[:i], config.window, aligned.days[i])
+    return abnormal_return(model, float(aligned.stock[i]), float(aligned.market[i]))
 
 
 def label_documents(
@@ -186,23 +207,41 @@ def label_documents(
     price below the penny threshold, insufficient estimation history, a
     singular market-model fit, an abnormal return in either outlier tail
     (ceil(outlier_level * n) per tail), or an abnormal return of exactly 0.
+    Each ticker is aligned with the index once; only one ticker's aligned
+    returns are held at a time.
     """
     config = config or EventLabelConfig()
-    index_returns = simple_returns(index_prices)
+    market = dict(simple_returns(index_prices))
+
+    by_ticker: dict[str, list[int]] = {}
+    for pos, doc in enumerate(corpus):
+        by_ticker.setdefault(doc.ticker, []).append(pos)
+    # per document, in corpus order: its abnormal return or its drop reason
+    outcome: list[float | str] = [""] * len(corpus)
+    for ticker, positions in by_ticker.items():
+        series = stock_prices.get(ticker)
+        try:
+            if series is None:
+                raise EventStudyError("no price series")
+            aligned = _align(series, market)
+        except EventStudyError as exc:
+            for pos in positions:
+                outcome[pos] = str(exc)
+            continue
+        for pos in positions:
+            try:
+                outcome[pos] = _event_ar(corpus[pos], aligned, config)
+            except EventStudyError as exc:
+                outcome[pos] = str(exc)
+        del aligned  # before the next ticker's is built
 
     scored: list[tuple[Document, float]] = []
     dropped: list[tuple[str, str]] = []
-    for doc in corpus:
-        series = stock_prices.get(doc.ticker)
-        if series is None:
-            dropped.append((doc.id, "no price series"))
-            continue
-        try:
-            ar = _event_ar(doc, series, index_returns, config)
-        except EventStudyError as exc:
-            dropped.append((doc.id, str(exc)))
-            continue
-        scored.append((doc, ar))
+    for doc, result in zip(corpus, outcome):
+        if isinstance(result, str):
+            dropped.append((doc.id, result))
+        else:
+            scored.append((doc, result))
 
     # Symmetric per-tail trim of the abnormal-return distribution.
     k = math.ceil(config.outlier_level * len(scored))

@@ -7,8 +7,12 @@ math) and must stay independent of the vectorized code paths it checks.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
+
+from milsent.corpus import NEGATIVE, POSITIVE
+from milsent.eventstudy import EventStudyError
 
 
 def scalar_sigmoid(z: float) -> float:
@@ -161,3 +165,88 @@ def interpolated_quantile(values, q: float) -> float:
         return float(ordered[lo])
     frac = pos - lo
     return float(ordered[lo] * (1 - frac) + ordered[hi] * frac)
+
+
+def _naive_simple_returns(series):
+    if len(series.observations) < 2:
+        raise EventStudyError(f"{series.ticker}: need >= 2 observations for returns")
+    out = []
+    for (_, prev), (day, price) in zip(series.observations, series.observations[1:]):
+        out.append((day, price / prev - 1.0))
+    return out
+
+
+def _naive_market_model(stock_returns, market_returns, event_date, window):
+    market = dict(market_returns)
+    paired = [
+        (d, r, market[d]) for d, r in stock_returns if d in market and d < event_date
+    ]
+    if len(paired) < window:
+        raise EventStudyError(
+            f"insufficient history before {event_date}: "
+            f"{len(paired)} paired returns < window {window}"
+        )
+    paired = paired[-window:]
+    s = np.array([r for _, r, _ in paired])
+    m = np.array([r for _, _, r in paired])
+    var = float(np.var(m))
+    if var == 0.0 or np.ptp(m) == 0.0:
+        raise EventStudyError("zero-variance market returns: singular fit")
+    beta = float(np.cov(m, s, bias=True)[0, 1]) / var
+    alpha = float(np.mean(s)) - beta * float(np.mean(m))
+    return alpha, beta
+
+
+def naive_event_ar(doc, series, index_returns, config) -> float:
+    """One document's event-day abnormal return, every list rebuilt per call:
+    the market model fitted by OLS over the `window` paired returns before
+    the first paired trading day on or after publication."""
+    stock_returns = _naive_simple_returns(series)
+    market = dict(index_returns)
+    paired_days = [d for d, _ in stock_returns if d in market]
+    event_day = next((d for d in paired_days if d >= doc.published_at), None)
+    if event_day is None:
+        raise EventStudyError(f"no trading day on or after {doc.published_at}")
+    prices = dict(series.observations)
+    price_days = [d for d, _ in series.observations]
+    prior_days = [d for d in price_days if d < event_day]
+    if not prior_days:
+        raise EventStudyError("no price before event day")
+    if prices[prior_days[-1]] < config.penny_threshold:
+        raise EventStudyError("penny stock")
+    stock = dict(stock_returns)
+    alpha, beta = _naive_market_model(stock_returns, index_returns, event_day, config.window)
+    return stock[event_day] - (alpha + beta * market[event_day])
+
+
+def naive_label_documents(corpus, stock_prices, index_prices, config):
+    """(labeled documents, dropped) of `label_documents`, one document at a
+    time through `naive_event_ar`."""
+    index_returns = _naive_simple_returns(index_prices)
+    scored, dropped = [], []
+    for doc in corpus:
+        series = stock_prices.get(doc.ticker)
+        if series is None:
+            dropped.append((doc.id, "no price series"))
+            continue
+        try:
+            ar = naive_event_ar(doc, series, index_returns, config)
+        except EventStudyError as exc:
+            dropped.append((doc.id, str(exc)))
+            continue
+        scored.append((doc, ar))
+    k = math.ceil(config.outlier_level * len(scored))
+    if k > 0 and scored:
+        order = sorted(range(len(scored)), key=lambda i: (scored[i][1], i))
+        cut = set(order[:k]) | set(order[len(scored) - k :])
+        for i in sorted(cut):
+            dropped.append((scored[i][0].id, "return outlier"))
+        scored = [pair for i, pair in enumerate(scored) if i not in cut]
+    labeled = []
+    for doc, ar in scored:
+        if ar == 0.0:
+            dropped.append((doc.id, "zero abnormal return"))
+            continue
+        label = POSITIVE if ar > 0 else NEGATIVE
+        labeled.append(replace(doc, abnormal_return=ar, label=label))
+    return labeled, dropped

@@ -773,6 +773,42 @@ class TestNonFiniteInput:
         assert not out.exists()
 
 
+class TestWrongTypedFields:
+    @pytest.mark.parametrize("fields,message", [
+        ({"sentences": 5}, "sentences must be a list of strings, got 5"),
+        ({"sentences": [5]}, "sentences must be a list of strings, got item 5"),
+        ({"sentences": ["a b."], "sentence_tokens": [5]},
+         "sentence_tokens must be a list of string lists or nulls, got item 5"),
+        ({"sentences": ["a b."], "sentence_tokens": ["ab"]},
+         "sentence_tokens must be a list of string lists or nulls, got item 'ab'"),
+        ({"sentences": ["a b."], "sentence_tokens": [["a", 5]]},
+         "sentence_tokens must be a list of string lists or nulls, got item ['a', 5]"),
+        ({"label": ["pos"]}, "label must be 'pos' or 'neg', got ['pos']"),
+        ({"sentences": ["a."], "sentence_labels": [["pos"]]},
+         "sentence_labels must be a list of 'pos', 'neg' or nulls, got item ['pos']"),
+        ({"sentences": ["a."], "sentence_labels": ["up"]},
+         "sentence_labels must be a list of 'pos', 'neg' or nulls, got item 'up'"),
+        ({"text": 5}, "text must be a string, got 5"),
+        ({"id": None}, "id must be a string, got None"),
+        ({"published_at": 20050101}, "published_at must be a string, got 20050101"),
+        ({"label": "pos", "abnormal_return": "x"},
+         "abnormal_return must be a finite number, got 'x'"),
+        ({"sentences": ["a."], "sentence_labels": ["pos"], "sentence_scores": 5},
+         "sentence_scores must be a list of finite numbers or nulls, got 5"),
+    ], ids=["sentences", "sentence-item", "tokens", "token-string", "token-number", "label",
+            "sentence-label", "sentence-label-text", "text", "id", "published-at",
+            "abnormal-return", "scores"])
+    def test_wrong_type_names_file_and_line(self, tmp_path, capsys, fields, message):
+        record = {"id": "a", "ticker": "X", "published_at": "2005-01-01",
+                  "text": "Profit rose. Sales fell."}
+        raw = tmp_path / "raw.jsonl"
+        write_jsonl(raw, [{**record, "id": "ok"}, {**record, **fields}])
+        out = tmp_path / "out.jsonl"
+        assert main(["preprocess", str(raw), str(out)]) == 1
+        assert f"error: {raw}: line 2: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestNotUtf8:
     @pytest.mark.parametrize("reader,code,where", [
         ("config", 2, "line 2"),

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from milsent import embed
 from milsent.corpus import to_mil_dataset
+from milsent.preprocess import tokenize
 from milsent.embed import (
     EmbeddingError,
     EmbeddingStore,
@@ -167,3 +169,51 @@ class TestEmbedCorpus:
         np.testing.assert_array_equal(out[0].sentences[0].embedding, [3.0, 4.0])
         with pytest.raises(EmbeddingError, match="d1:1"):
             embed_corpus([make_doc("d1", sentences=(make_sentence("x"), make_sentence("y")))], store)
+
+
+class TestHashTable:
+    def _docs(self):
+        return [
+            make_doc("d1", sentences=(
+                make_sentence("profit rose profit", tokens=("profit", "rose", "profit")),
+                make_sentence("...", tokens=()),  # nothing to tokenize
+            )),
+            make_doc("d2", sentences=(
+                make_sentence("Loss rose after the warning."),  # tokenized here
+                make_sentence("rose", tokens=("rose",)),
+            )),
+        ]
+
+    def test_one_hash_per_distinct_token_per_call(self, monkeypatch):
+        calls = []
+        real = embed._hash_vector
+
+        def counting(token, dim, seed):
+            calls.append(token)
+            return real(token, dim, seed)
+
+        monkeypatch.setattr(embed, "_hash_vector", counting)
+        docs = self._docs()
+        distinct = {t for d in docs for s in d.sentences
+                    for t in s.tokens or tokenize(s.text)}
+        for _ in range(2):
+            calls.clear()
+            embed_corpus(docs, hash_fallback_store(dim=8, seed=3))
+            assert sorted(calls) == sorted(distinct)
+
+    def test_corpus_equals_per_sentence_vectors(self):
+        store = hash_fallback_store(dim=8, seed=3)
+        docs = self._docs()
+        out = embed_corpus(docs, store)
+        for doc, embedded in zip(docs, out):
+            for sentence, got in zip(doc.sentences, embedded.sentences):
+                tokens = sentence.tokens or tokenize(sentence.text)
+                if tokens:
+                    assert np.array_equal(got.embedding, embed_sentence(tokens, store))
+                    # the mean of one hash vector per occurrence, in sorted order
+                    occurrences = [embed._hash_vector(t, 8, 3) for t in sorted(tokens)]
+                    assert np.array_equal(got.embedding, np.mean(occurrences, axis=0))
+
+    def test_token_less_sentence_gets_zero_vector(self):
+        out = embed_corpus(self._docs(), hash_fallback_store(dim=8, seed=3))
+        assert np.array_equal(out[0].sentences[1].embedding, np.zeros(8))

@@ -2,6 +2,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from milsent.corpus import POSITIVE, NEGATIVE
 from milsent.eventstudy import (
@@ -16,7 +17,7 @@ from milsent.eventstudy import (
     simple_returns,
 )
 from conftest import make_doc, write_price_csv
-from reference import ols_line
+from reference import naive_label_documents, ols_line
 
 
 def series(ticker, prices, start=date(2005, 1, 3)):
@@ -251,3 +252,104 @@ class TestLabelDocuments:
         )
         assert result.documents == ()
         assert "insufficient history" in result.dropped[0][1]
+
+
+CALENDAR_START = date(2005, 1, 3)
+CALENDAR_DAYS = 60
+
+
+def _on_days(days, closes, ticker):
+    return PriceSeries(ticker, tuple(
+        (CALENDAR_START + timedelta(days=int(d)), float(p)) for d, p in zip(days, closes)))
+
+
+def _random_market(rng, tickers):
+    """An index and stock series on random calendar days, some days missing
+    from each. The index has flat stretches (singular fits); a stock series
+    is long, short (down to no observation) or a penny stock, and repeats
+    some closes."""
+    days = np.arange(CALENDAR_DAYS)
+    closes = 100.0 * np.cumprod(1.0 + rng.normal(0.0, 0.01, CALENDAR_DAYS))
+    if rng.random() < 0.5:
+        start = rng.integers(0, CALENDAR_DAYS)
+        closes[start : start + rng.integers(2, 10)] = closes[start]
+    kept = rng.random(CALENDAR_DAYS) > 0.1
+    index = _on_days(days[kept], closes[kept], "IDX")
+    prices = {}
+    for ticker in tickers:
+        first = rng.integers(0, 15)
+        last = first + rng.integers(0, 4) if rng.random() < 0.2 else rng.integers(45, 61)
+        base = rng.choice([0.5, 2.0, 20.0])
+        closes = base * np.cumprod(1.0 + rng.normal(0.0, 0.02, CALENDAR_DAYS))
+        repeat = rng.random(CALENDAR_DAYS) < 0.1
+        repeat[0] = False
+        for i in np.flatnonzero(repeat):
+            closes[i] = closes[i - 1]
+        kept = (rng.random(CALENDAR_DAYS) > 0.1) & (days >= first) & (days < last)
+        prices[ticker] = _on_days(days[kept], closes[kept], ticker)
+    return index, prices
+
+
+def _assert_matches_oracle(docs, prices, index, config):
+    result = label_documents(docs, prices, index, config)
+    labeled, dropped = naive_label_documents(docs, prices, index, config)
+    assert list(result.dropped) == dropped
+    assert [(d.id, d.label) for d in result.documents] == [(d.id, d.label) for d in labeled]
+    for got, want in zip(result.documents, labeled):
+        assert type(got.abnormal_return) is float
+        assert got.abnormal_return == want.abnormal_return
+    return result
+
+
+class TestLabelOracle:
+    """`label_documents` against the per-document oracle, which rebuilds every
+    list for each document: equal abnormal returns (==) and equal drops, in
+    order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(1, 30),
+           window=st.integers(2, 10), penny=st.sampled_from([0.0, 1.0, 3.0]),
+           outlier=st.sampled_from([0.0, 0.0, 0.05, 0.2]))
+    def test_matches_per_document_oracle(self, seed, n_docs, window, penny, outlier):
+        rng = np.random.default_rng(seed)
+        tickers = ["A", "B", "C", "D"]
+        index, prices = _random_market(rng, tickers)
+        # interleaved tickers, one without a series; days before the first
+        # and after the last trading day
+        docs = [make_doc(f"d{i}", rng.choice(tickers + ["MISSING"]),
+                         CALENDAR_START + timedelta(days=int(rng.integers(-3, CALENDAR_DAYS + 4))))
+                for i in range(n_docs)]
+        config = EventLabelConfig(penny_threshold=penny, outlier_level=outlier, window=window)
+        _assert_matches_oracle(docs, prices, index, config)
+
+    def test_every_reachable_drop_reason(self):
+        rng = np.random.default_rng(5)
+        index_closes = 100.0 * np.cumprod(1.0 + rng.uniform(-0.02, 0.02, 30))
+        index_closes[20:25] = index_closes[20]  # zero market returns on days 21-24
+        index = _on_days([d for d in range(30) if d != 10], np.delete(index_closes, 10), "IDX")
+        stock_days = [d for d in range(30) if d != 5]  # the index has day 5
+        prices = {
+            "A": _on_days(stock_days, 20.0 * np.cumprod(1.0 + rng.uniform(-0.03, 0.03, 29)), "A"),
+            "P": _on_days(stock_days, np.full(29, 0.5), "P"),
+            "S": _on_days([3], [10.0], "S"),
+        }
+        placed = [("A", 15), ("P", 15), ("A", 10), ("A", 40), ("A", -5), ("S", 15),
+                  ("A", 24), ("X", 15), ("A", 17), ("A", 19), ("A", 12), ("A", 27)]
+        docs = [make_doc(f"d{i}", t, CALENDAR_START + timedelta(days=d))
+                for i, (t, d) in enumerate(placed)]
+        config = EventLabelConfig(outlier_level=0.2, window=3)
+        result = _assert_matches_oracle(docs, prices, index, config)
+        # no close before publication (d4) rolls to the first return day,
+        # which has no history; "no price before event day" cannot occur,
+        # since a return day always follows a price day
+        assert result.dropped == (
+            ("d1", "penny stock"),
+            ("d3", "no trading day on or after 2005-02-12"),
+            ("d4", "insufficient history before 2005-01-04: 0 paired returns < window 3"),
+            ("d5", "S: need >= 2 observations for returns"),
+            ("d6", "zero-variance market returns: singular fit"),
+            ("d7", "no price series"),
+            *((d, "return outlier") for d in ("d0", "d8", "d9", "d10")),
+        )
+        # d2 falls on day 10, which is no index day, and rolls to day 11
+        assert [d.id for d in result.documents] == ["d2", "d11"]
