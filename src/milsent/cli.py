@@ -296,6 +296,18 @@ def _build_store(args) -> embed.EmbeddingStore:
     return store
 
 
+def _zero_vectors(matrices) -> int:
+    """Count of sentences embedded as the zero vector (no tokens, or none in
+    the vocabulary), announced in one stderr line when there are any."""
+    zero = total = 0
+    for X in matrices:
+        zero += int(np.count_nonzero(~X.any(axis=1)))
+        total += len(X)
+    if zero:
+        _eprint(f"warning: {zero} of {total} sentences embedded as the zero vector")
+    return zero
+
+
 def _parse_grid(text: str, base: mil.TrainConfig) -> mil.GridSpec:
     names = {"lambda": "lam", "lr": "learning_rate", "learning_rate": "learning_rate",
              "momentum": "momentum", "lam": "lam"}
@@ -332,6 +344,7 @@ def cmd_train(args) -> int:
     docs = load_corpus(args.corpus_in)
     store = _build_store(args)
     dataset = to_mil_dataset(embed.embed_corpus(docs, store))
+    zero_vectors = _zero_vectors(m for m, _ in dataset.groups)
     if args.gamma == "median":
         config = replace(config, kernel_gamma=mil.median_heuristic_gamma(dataset, seed=args.seed))
         _eprint(f"median-heuristic gamma: {config.kernel_gamma:.6g}")
@@ -381,6 +394,7 @@ def cmd_train(args) -> int:
         "initial_loss": result.loss_trace[0],
         "final_loss": result.loss_trace[-1],
         "in_sample_document_accuracy": accuracy,
+        "zero_vector_sentences": zero_vectors,
         "loss_trace": list(result.loss_trace),
     }
     if grid_cells is not None:
@@ -400,21 +414,28 @@ def cmd_predict(args) -> int:
 
     doc_summaries: dict[str, dict] = {}
     out_docs: list[Document] = []
+    zero_vectors = 0
     if docs:
         store = _build_store(args)
         if store.dim != model.dim:
             raise UsageError(
                 f"embedding dimension {store.dim} conflicts with model dimension {model.dim}"
             )
-        for doc in embed.embed_corpus(docs, store):
+        X = embed.embed_matrix(docs, store)
+        zero_vectors = _zero_vectors([X])
+        lo = 0
+        for doc in docs:
             if not doc.sentences:
                 out_docs.append(doc)
                 continue
+            hi = lo + len(doc.sentences)
             try:
-                scores = mil.sentence_scores(
-                    model, np.stack([s.embedding for s in doc.sentences]))
+                # one call per document: a single call over all rows may
+                # round differently in the last bit, by BLAS blocking
+                scores = mil.sentence_scores(model, X[lo:hi])
             except ValueError as exc:
                 raise ValueError(f"document {doc.id}: {exc}") from exc
+            lo = hi
             labels = mil.sentence_labels(scores)
             doc_label, n_pos, n_neg = mil.document_vote(labels, scores)
             doc_summaries[doc.id] = {
@@ -439,6 +460,7 @@ def cmd_predict(args) -> int:
                 "embeddings": args.embeddings},
         outputs={"corpus": args.corpus_out, "documents": str(docs_path)},
     )
+    manifest.metrics = {"zero_vector_sentences": zero_vectors}
     manifest.write(_manifest_path(args, args.corpus_out))
     return EXIT_OK
 

@@ -326,8 +326,11 @@ def with_predictions(
     """Attach per-sentence predictions, returning a new document."""
     if len(labels) != len(doc.sentences) or len(scores) != len(doc.sentences):
         raise CorpusError(f"document {doc.id}: prediction arrays mismatch sentences")
+    # Python scalars first: converting numpy scalars one at a time is slower
+    labels, scores = np.asarray(labels).tolist(), np.asarray(scores).tolist()
     sentences = tuple(
-        replace(s, predicted_label=int(lab), score=float(score))
+        SentenceInstance(text=s.text, tokens=s.tokens, embedding=s.embedding,
+                         predicted_label=int(lab), score=float(score))
         for s, lab, score in zip(doc.sentences, labels, scores)
     )
     return replace(doc, sentences=sentences)

@@ -5,30 +5,39 @@ vectors averaged into sentence vectors, and a seeded hash fallback that
 needs no external model (for tests and offline runs). Averaging is
 order-insensitive, a documented difference from learned sentence encoders.
 
-The hash provider is a vector table filled on demand: each call computes
-the hash vector of each distinct token once, and then averages through the
-same path as word vectors.
+`embed_matrix` is the one embedding path: one row per sentence of a corpus,
+in corpus order. The two averaging providers index the corpus's distinct
+known tokens in one table (word vectors, or hash vectors computed once per
+token per call), group the sentences by their count k of known tokens and
+average each group's gathered k-row blocks, at most `GATHER_ROWS` token
+rows at a time. A sentence's tokens are summed in sorted order with the same
+numpy reduction as averaging that sentence alone, so its vector depends
+neither on token order nor on the rest of the corpus. A sentence with no
+tokens, or with none in the vocabulary, gets the zero vector.
 """
 
 from __future__ import annotations
 
 import hashlib
-import logging
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
 
-from milsent.corpus import Document, utf8_lines
+from milsent.corpus import Document, SentenceInstance, utf8_lines
 from milsent.preprocess import tokenize
-
-log = logging.getLogger(__name__)
 
 PRECOMPUTED_SENTENCE = "precomputed-sentence"
 WORD_AVERAGE = "word-average"
 HASH_FALLBACK = "hash-fallback"
 
 DEFAULT_DIM = 300
+
+# Token rows gathered per averaging step: bounds the k x d blocks held at
+# once to GATHER_ROWS * d floats, whatever the corpus size. 1024 to 4096
+# rows average 45k 50-d sentences equally fast, so the smallest is kept.
+GATHER_ROWS = 1024
 
 
 class EmbeddingError(Exception):
@@ -69,6 +78,10 @@ def _parse_vector_file(path, first_field_name: str, sep: str | None):
             if not values:
                 raise EmbeddingError(
                     f"{path}: line {line_no}: no vector components after {first_field_name}"
+                )
+            if key in vectors:
+                raise EmbeddingError(
+                    f"{path}: line {line_no}: duplicate {first_field_name} {key!r}"
                 )
             try:
                 vec = np.array([float(v) for v in values])
@@ -123,19 +136,58 @@ def _precomputed_vector(store: EmbeddingStore, key: str) -> np.ndarray:
         raise EmbeddingError(f"no precomputed vector for sentence key {key!r}") from None
 
 
-def _hash_table(tokens, store: EmbeddingStore) -> dict[str, np.ndarray]:
-    """The hash vector of each distinct token, each computed once."""
-    return {t: _hash_vector(t, store.dim, store.seed) for t in set(tokens)}
+def _token_table(distinct: set[str], store: EmbeddingStore):
+    """(token -> row, table) over the known tokens of `distinct`, rows in
+    sorted token order, so that sorting a sentence's rows sorts its tokens.
+    Only these tokens are copied, never the whole store."""
+    if store.provider == HASH_FALLBACK:
+        vocab = sorted(distinct)
+        vectors = (_hash_vector(t, store.dim, store.seed) for t in vocab)
+    else:
+        vocab = sorted(t for t in distinct if t in store.vectors)
+        vectors = map(store.vectors.__getitem__, vocab)
+    table = np.empty((len(vocab), store.dim))
+    for row, vec in enumerate(vectors):
+        table[row] = vec
+    return {t: row for row, t in enumerate(vocab)}, table
 
 
-def _average(tokens: Sequence[str], vectors: dict[str, np.ndarray], dim: int) -> np.ndarray:
-    # tokens are summed in sorted order so the mean is permutation-invariant
-    # bit for bit, not just up to rounding
-    known = [vectors[t] for t in sorted(tokens) if t in vectors]
-    if not known:
-        log.warning("all %d tokens out of vocabulary; zero vector", len(tokens))
-        return np.zeros(dim)
-    return np.mean(known, axis=0)
+def _sorted_rows(token_lists: Sequence[Sequence[str]], index: dict[str, int]):
+    """(rows, counts): each list's known-token table rows in sorted order,
+    the lists one after another, and the number of rows of each list."""
+    n = len(token_lists)
+    lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=n)
+    unknown = len(index)
+    rows = np.fromiter(map(index.get, chain.from_iterable(token_lists), repeat(unknown)),
+                       dtype=np.intp, count=int(lengths.sum()))
+    sentence = np.repeat(np.arange(n), lengths)
+    known = rows < unknown
+    sentence, rows = sentence[known], rows[known]
+    # the sentence ids are already ascending, so one sort of these keys
+    # orders the rows within each sentence and leaves `sentence` valid
+    keys = sentence * (unknown + 1) + rows
+    keys.sort()
+    return keys - sentence * (unknown + 1), np.bincount(sentence, minlength=n)
+
+
+def _averages(token_lists: Sequence[Sequence[str]], store: EmbeddingStore) -> np.ndarray:
+    """One row per token list: the mean of its known token vectors, summed
+    in sorted token order; the zero row when no token is known."""
+    index, table = _token_table(set(chain.from_iterable(token_lists)), store)
+    rows, counts = _sorted_rows(token_lists, index)
+    starts = np.cumsum(counts) - counts
+    out = np.zeros((len(token_lists), store.dim))
+    # the counts that occur, without np.unique: its first call imports
+    # numpy.ma, about 1 MB and 10-15 ms
+    ks = np.flatnonzero(np.bincount(counts))
+    for k in ks[ks > 0].tolist():
+        members = np.flatnonzero(counts == k)
+        offsets = np.arange(k)
+        step = max(1, GATHER_ROWS // k)
+        for lo in range(0, len(members), step):
+            chunk = members[lo:lo + step]
+            out[chunk] = np.mean(table[rows[starts[chunk, None] + offsets]], axis=1)
+    return out
 
 
 def embed_sentence(
@@ -143,8 +195,8 @@ def embed_sentence(
 ) -> np.ndarray:
     """Sentence vector for a token sequence.
 
-    word-average: mean of in-vocabulary token vectors (zero vector, logged,
-    if none are known). hash-fallback: mean of per-token hash vectors.
+    word-average: mean of in-vocabulary token vectors (zero vector if none
+    are known). hash-fallback: mean of per-token hash vectors.
     precomputed-sentence: lookup by `key`.
     """
     if len(tokens) == 0:
@@ -153,9 +205,7 @@ def embed_sentence(
         if key is None:
             raise EmbeddingError("precomputed-sentence provider requires a sentence key")
         return _precomputed_vector(store, key)
-    if store.provider == HASH_FALLBACK:
-        return _average(tokens, _hash_table(tokens, store), store.dim)
-    return _average(tokens, store.vectors, store.dim)
+    return _averages([tokens], store)[0]
 
 
 def sentence_key(doc_id: str, index: int) -> str:
@@ -163,33 +213,33 @@ def sentence_key(doc_id: str, index: int) -> str:
     return f"{doc_id}:{index}"
 
 
-def embed_corpus(docs: Sequence[Document], store: EmbeddingStore) -> list[Document]:
-    """Attach an embedding to every sentence of every document.
+def embed_matrix(docs: Sequence[Document], store: EmbeddingStore) -> np.ndarray:
+    """One embedding row per sentence of `docs`, in corpus order.
 
-    Sentences that tokenize to nothing receive the zero vector rather than
-    failing the whole corpus.
+    precomputed-sentence rows are looked up by `sentence_key`; the averaging
+    providers tokenize a sentence that carries no tokens, and a sentence
+    that tokenizes to nothing gets the zero vector rather than failing the
+    whole corpus.
     """
     if store.provider == PRECOMPUTED_SENTENCE:
-        return [
-            replace(doc, sentences=tuple(
-                replace(s, embedding=_precomputed_vector(store, sentence_key(doc.id, idx)))
-                for idx, s in enumerate(doc.sentences)
-            ))
-            for doc in docs
-        ]
-    tokens = [[s.tokens or tuple(tokenize(s.text)) for s in doc.sentences] for doc in docs]
-    vectors = store.vectors
-    if store.provider == HASH_FALLBACK:
-        vectors = _hash_table((t for doc in tokens for toks in doc for t in toks), store)
-    out = []
-    for doc, doc_tokens in zip(docs, tokens):
-        sentences = []
-        for idx, (sentence, toks) in enumerate(zip(doc.sentences, doc_tokens)):
-            if toks:
-                vec = _average(toks, vectors, store.dim)
-            else:
-                log.warning("document %s: sentence %d has no tokens; zero vector", doc.id, idx)
-                vec = np.zeros(store.dim)
-            sentences.append(replace(sentence, embedding=vec))
-        out.append(replace(doc, sentences=tuple(sentences)))
-    return out
+        keys = [sentence_key(doc.id, idx) for doc in docs for idx in range(len(doc.sentences))]
+        out = np.empty((len(keys), store.dim))
+        for row, key in enumerate(keys):
+            out[row] = _precomputed_vector(store, key)
+        return out
+    return _averages(
+        [s.tokens or tokenize(s.text) for doc in docs for s in doc.sentences], store
+    )
+
+
+def embed_corpus(docs: Sequence[Document], store: EmbeddingStore) -> list[Document]:
+    """`docs` with each sentence's row of `embed_matrix` attached."""
+    rows = iter(embed_matrix(docs, store))
+    return [
+        replace(doc, sentences=tuple(
+            SentenceInstance(text=s.text, tokens=s.tokens, embedding=next(rows),
+                             predicted_label=s.predicted_label, score=s.score)
+            for s in doc.sentences
+        ))
+        for doc in docs
+    ]

@@ -11,8 +11,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from milsent.corpus import NEGATIVE, POSITIVE
+from milsent.corpus import LABEL_TO_TEXT, NEGATIVE, POSITIVE
+from milsent.embed import HASH_FALLBACK, PRECOMPUTED_SENTENCE, _hash_vector, sentence_key
 from milsent.eventstudy import EventStudyError
+from milsent.mil import document_vote, sentence_labels, sentence_scores
+from milsent.preprocess import tokenize
 
 
 def scalar_sigmoid(z: float) -> float:
@@ -250,3 +253,61 @@ def naive_label_documents(corpus, stock_prices, index_prices, config):
         label = POSITIVE if ar > 0 else NEGATIVE
         labeled.append(replace(doc, abnormal_return=ar, label=label))
     return labeled, dropped
+
+
+def _naive_average(tokens, vectors, dim):
+    # tokens are summed in sorted order so the mean is permutation-invariant
+    # bit for bit, not just up to rounding
+    known = [vectors[t] for t in sorted(tokens) if t in vectors]
+    if not known:
+        return np.zeros(dim)
+    return np.mean(known, axis=0)
+
+
+def naive_embed_corpus(docs, store):
+    """`embed_corpus` one sentence at a time: each sentence's known token
+    vectors stacked and averaged on their own, in sorted token order."""
+    if store.provider == PRECOMPUTED_SENTENCE:
+        return [
+            replace(doc, sentences=tuple(
+                replace(s, embedding=store.vectors[sentence_key(doc.id, idx)])
+                for idx, s in enumerate(doc.sentences)
+            ))
+            for doc in docs
+        ]
+    tokens = [[s.tokens or tuple(tokenize(s.text)) for s in doc.sentences] for doc in docs]
+    vectors = store.vectors
+    if store.provider == HASH_FALLBACK:
+        vectors = {t: _hash_vector(t, store.dim, store.seed)
+                   for doc in tokens for toks in doc for t in toks}
+    out = []
+    for doc, doc_tokens in zip(docs, tokens):
+        sentences = []
+        for sentence, toks in zip(doc.sentences, doc_tokens):
+            if toks:
+                vec = _naive_average(toks, vectors, store.dim)
+            else:
+                vec = np.zeros(store.dim)
+            sentences.append(replace(sentence, embedding=vec))
+        out.append(replace(doc, sentences=tuple(sentences)))
+    return out
+
+
+def naive_predict(model, docs, store):
+    """(predicted documents, document summaries) of `milsent predict`: every
+    document's sentence vectors stacked into their own matrix and scored."""
+    summaries, out = {}, []
+    for doc in naive_embed_corpus(docs, store):
+        if not doc.sentences:
+            out.append(doc)
+            continue
+        scores = sentence_scores(model, np.stack([s.embedding for s in doc.sentences]))
+        labels = sentence_labels(scores)
+        label, n_pos, n_neg = document_vote(labels, scores)
+        summaries[doc.id] = {"label": LABEL_TO_TEXT[label], "positive_sentences": n_pos,
+                             "negative_sentences": n_neg}
+        out.append(replace(doc, sentences=tuple(
+            replace(s, predicted_label=int(lab), score=float(score))
+            for s, lab, score in zip(doc.sentences, labels, scores)
+        )))
+    return out, summaries

@@ -11,12 +11,13 @@ import pytest
 import milsent
 from milsent import cli
 from milsent.cli import main
-from milsent.corpus import load_corpus
+from milsent.corpus import load_corpus, save_corpus
+from milsent.embed import load_embeddings
 from milsent.eventstudy import EventLabelConfig
-from milsent.mil import MilModel, TrainConfig, generate_synthetic, save_model
+from milsent.mil import MilModel, TrainConfig, generate_synthetic, load_model, save_model
 from milsent.preprocess import PreprocessConfig
 from conftest import write_jsonl, write_price_csv
-from reference import naive_document_vote
+from reference import naive_document_vote, naive_predict
 
 
 def write_config(path, **overrides):
@@ -234,6 +235,27 @@ class TestTrain:
         assert manifest["metrics"]["final_loss"] < manifest["metrics"]["initial_loss"]
         assert len(manifest["metrics"]["loss_trace"]) == 6
 
+    def test_zero_vector_sentences_summarized(self, tmp_path, capsys):
+        corpus, vectors = word_average_files(tmp_path, n_docs=6)
+        model_path = tmp_path / "model.json"
+        assert main(["train", str(corpus), str(vectors), str(model_path),
+                     "--epochs", "1", "--seed", "3"]) == 0
+        err = capsys.readouterr().err
+        manifest = json.loads((tmp_path / "model.json.manifest.json").read_text())
+        zero = manifest["metrics"]["zero_vector_sentences"]
+        assert zero >= 2
+        assert err.count("zero vector") == 1
+        assert f"warning: {zero} of {manifest['metrics']['instances']} sentences" in err
+
+    def test_no_zero_vector_line_without_zero_vectors(self, tmp_path, capsys):
+        corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=5)
+        model_path = tmp_path / "model.json"
+        assert main(["train", str(corpus), str(vectors), str(model_path),
+                     "--embedding-format", "sentence", "--epochs", "1"]) == 0
+        assert "zero vector" not in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "model.json.manifest.json").read_text())
+        assert manifest["metrics"]["zero_vector_sentences"] == 0
+
     def test_singleton_grid_equals_plain_train(self, tmp_path):
         corpus, vectors, _ = synthetic_corpus_files(tmp_path)
         plain = tmp_path / "plain.json"
@@ -290,7 +312,62 @@ class TestTrain:
         assert "median-heuristic gamma" in capsys.readouterr().err
 
 
+def word_average_files(tmp_path, n_docs=40, seed=8):
+    """A word-vector file and a labelled corpus whose sentences mix given and
+    missing tokens, repeats, out-of-vocabulary words and token-less text."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(30)]
+    vectors = tmp_path / "words.txt"
+    with open(vectors, "w", encoding="utf-8") as handle:
+        for w in words:
+            vec = rng.standard_normal(6) * 10.0 ** rng.uniform(-2, 2)
+            handle.write(w + " " + " ".join(repr(float(v)) for v in vec) + "\n")
+    records = []
+    for d in range(n_docs):
+        sentences = [list(rng.choice(words + ["oov"], size=int(rng.integers(1, 14))))
+                     for _ in range(int(rng.integers(1, 6)))]
+        records.append({
+            "id": f"d{d:02d}", "ticker": "X", "published_at": "2005-01-03", "text": "t",
+            "sentences": [" ".join(s) for s in sentences],
+            "sentence_tokens": [s if d % 3 else None for s in sentences],
+            "label": "pos" if d % 2 else "neg",
+        })
+    records.append({"id": "zeros", "ticker": "X", "published_at": "2005-01-04", "text": "t",
+                     "sentences": ["oov oov", "...", "w1 oov"], "label": "neg"})
+    corpus = tmp_path / "words.jsonl"
+    write_jsonl(corpus, records)
+    return corpus, vectors
+
+
 class TestPredict:
+    def test_equals_per_document_stacking_byte_for_byte(self, tmp_path, capsys):
+        corpus, vectors = word_average_files(tmp_path)
+        with open(corpus, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"id": "bare", "ticker": "X",
+                                     "published_at": "2005-01-05", "text": "t"}) + "\n")
+        model_path, out = tmp_path / "model.json", tmp_path / "pred.jsonl"
+        rng = np.random.default_rng(3)
+        save_model(MilModel(theta=rng.standard_normal(7), dim=6, config=TrainConfig()), model_path)
+        assert main(["predict", str(model_path), str(corpus), str(vectors), str(out)]) == 0
+
+        ref_docs, summaries = naive_predict(
+            load_model(model_path), load_corpus(corpus), load_embeddings(vectors))
+        ref = tmp_path / "ref.jsonl"
+        save_corpus(ref_docs, ref)
+        assert out.read_bytes() == ref.read_bytes()
+        assert (tmp_path / "pred.jsonl.docs.json").read_text() == \
+            json.dumps(summaries, indent=2, sort_keys=True) + "\n"
+        assert "bare" not in summaries and load_corpus(out)[-1].sentences == ()
+        # one summary line and one manifest count for the zero-vector sentences
+        zero = [s for d in ref_docs for s in d.sentences if not s.embedding.any()]
+        assert len(zero) >= 2
+        total = sum(len(d.sentences) for d in ref_docs)
+        err = capsys.readouterr().err
+        assert err.count("zero vector") == 1
+        assert f"warning: {len(zero)} of {total} sentences embedded as the zero vector" in err
+        manifest = json.loads((tmp_path / "pred.jsonl.manifest.json").read_text())
+        assert manifest["metrics"] == {"zero_vector_sentences": len(zero)}
+
     def test_recovers_synthetic_sentence_labels(self, tmp_path):
         corpus, vectors, truth = synthetic_corpus_files(
             tmp_path, n_groups=200, instances=5, dim=16, seed=42

@@ -183,3 +183,14 @@ def test_with_predictions_roundtrip():
     assert [s.score for s in predicted.sentences] == [0.9, 0.1]
     with pytest.raises(CorpusError):
         with_predictions(doc, [1], [0.9])
+
+
+def test_with_predictions_keeps_fields_and_checks_each_sentence():
+    doc = make_doc(sentences=(make_sentence("a b", tokens=("a", "b"), embedding=[1.0, 2.0]),))
+    predicted = with_predictions(doc, [0], [0.25])
+    (sentence,) = predicted.sentences
+    assert (sentence.text, sentence.tokens) == ("a b", ("a", "b"))
+    np.testing.assert_array_equal(sentence.embedding, [1.0, 2.0])
+    assert (predicted.id, predicted.raw_text) == (doc.id, doc.raw_text)
+    with pytest.raises(CorpusError, match="inconsistent"):
+        with_predictions(doc, [1], [0.25])

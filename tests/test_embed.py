@@ -1,5 +1,9 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from milsent import embed
 from milsent.corpus import to_mil_dataset
@@ -8,6 +12,7 @@ from milsent.embed import (
     EmbeddingError,
     EmbeddingStore,
     embed_corpus,
+    embed_matrix,
     embed_sentence,
     hash_fallback_store,
     load_embeddings,
@@ -15,6 +20,7 @@ from milsent.embed import (
     sentence_key,
 )
 from conftest import make_doc, make_sentence
+from reference import naive_embed_corpus
 
 
 class TestLoadEmbeddings:
@@ -43,6 +49,19 @@ class TestLoadEmbeddings:
         path.write_text("a 1 2\nb 1 oops\n")
         with pytest.raises(EmbeddingError, match="line 2"):
             load_embeddings(path)
+
+    def test_duplicate_term_names_line(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("a 1 0\nb 0 1\na 5 5\n")
+        with pytest.raises(EmbeddingError, match=r"vec.txt: line 3: duplicate term 'a'"):
+            load_embeddings(path)
+
+    def test_duplicate_sentence_key_names_line(self, tmp_path):
+        path = tmp_path / "sent.tsv"
+        path.write_text("d1:0\t1 0\nd1:1\t0 1\nd1:0\t5 5\n")
+        with pytest.raises(EmbeddingError,
+                           match=r"sent.tsv: line 3: duplicate sentence_id 'd1:0'"):
+            load_sentence_embeddings(path)
 
     def test_sentence_format_tab_separated(self, tmp_path):
         path = tmp_path / "sent.tsv"
@@ -217,3 +236,125 @@ class TestHashTable:
     def test_token_less_sentence_gets_zero_vector(self):
         out = embed_corpus(self._docs(), hash_fallback_store(dim=8, seed=3))
         assert np.array_equal(out[0].sentences[1].embedding, np.zeros(8))
+
+
+VOCAB = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "j"]
+OOV = ["x", "y"]
+
+
+def _random_word_store(dim: int, seed: int) -> EmbeddingStore:
+    # magnitudes spread over six decades, so a changed summation order shows
+    rng = np.random.default_rng(seed)
+    return EmbeddingStore(
+        dim=dim,
+        vectors={w: rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3) for w in VOCAB},
+        provider=embed.WORD_AVERAGE,
+    )
+
+
+def _corpus(doc_sentences, tokenized):
+    """Documents of token lists; an untokenized sentence carries only its text."""
+    return [
+        make_doc(f"d{i}", sentences=[
+            make_sentence(" ".join(toks), tokens=toks if keep else ())
+            for toks, keep in zip(sentences, tokenized)
+        ])
+        for i, sentences in enumerate(doc_sentences)
+    ]
+
+
+def _assert_matches_oracle(docs, store):
+    got, want = embed_corpus(docs, store), naive_embed_corpus(docs, store)
+    assert len(got) == len(want)
+    for g_doc, w_doc in zip(got, want):
+        assert g_doc.id == w_doc.id and len(g_doc.sentences) == len(w_doc.sentences)
+        for g, w in zip(g_doc.sentences, w_doc.sentences):
+            assert (g.text, g.tokens, g.predicted_label, g.score) == \
+                (w.text, w.tokens, w.predicted_label, w.score)
+            assert np.array_equal(g.embedding, w.embedding)
+
+
+class TestEmbedMatrixOracle:
+    """The batched averaging equals averaging each sentence alone, bit for
+    bit: same tokens, same sorted order, same numpy reduction."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # up to 20 tokens: k below and above numpy's 8-way unrolled sums,
+        # with repeats, all-OOV and empty sentences
+        doc_sentences=st.lists(
+            st.lists(st.lists(st.sampled_from(VOCAB + OOV), max_size=20), max_size=5),
+            max_size=5),
+        tokenized=st.lists(st.booleans(), min_size=5, max_size=5),
+        hashed=st.booleans(),
+        dim=st.sampled_from([1, 2, 3, 9, 50]),
+        seed=st.integers(0, 2**16),
+        # a small chunk splits one k-group over many gathers
+        gather_rows=st.sampled_from([1, 3, 16, embed.GATHER_ROWS]),
+    )
+    def test_equals_per_sentence_average(self, doc_sentences, tokenized, hashed, dim,
+                                         seed, gather_rows):
+        store = hash_fallback_store(dim, seed) if hashed else _random_word_store(dim, seed)
+        with mock.patch.object(embed, "GATHER_ROWS", gather_rows):
+            _assert_matches_oracle(_corpus(doc_sentences, tokenized), store)
+
+    def test_group_larger_than_the_gather_constant(self):
+        rng = np.random.default_rng(2)
+        sentences = [[VOCAB[j]] for j in rng.integers(len(VOCAB), size=embed.GATHER_ROWS + 5)]
+        sentences += [list(rng.choice(VOCAB + OOV, size=9)) for _ in range(40)]
+        docs = _corpus([sentences[i:i + 7] for i in range(0, len(sentences), 7)], [True] * 7)
+        for store in (_random_word_store(3, 1), hash_fallback_store(3, 1)):
+            _assert_matches_oracle(docs, store)
+
+    def test_precomputed_rows_in_corpus_order(self):
+        store = EmbeddingStore(
+            dim=2, provider=embed.PRECOMPUTED_SENTENCE,
+            vectors={"d1:0": np.array([1.0, 2.0]), "d2:0": np.array([3.0, 4.0]),
+                     "d2:1": np.array([5.0, 6.0])},
+        )
+        docs = [make_doc("d1", sentences=(make_sentence("p"),)), make_doc("d0"),
+                make_doc("d2", sentences=(make_sentence("q"), make_sentence("r")))]
+        np.testing.assert_array_equal(embed_matrix(docs, store), [[1, 2], [3, 4], [5, 6]])
+        _assert_matches_oracle(docs, store)
+
+    def test_empty_corpus(self):
+        assert embed_matrix([], word_store()).shape == (0, 2)
+        assert embed_matrix([make_doc("d1")], hash_fallback_store(dim=4)).shape == (0, 4)
+
+
+def _traced_peak(fn, *args) -> tuple[object, int]:
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestEmbedMatrixMemory:
+    def test_peak_below_twice_the_output(self):
+        # an unchunked gather would hold all 20k x 9 token vectors at once,
+        # nine times the output
+        rng = np.random.default_rng(5)
+        words = [f"w{i}" for i in range(500)]
+        store = EmbeddingStore(dim=64, vectors={w: rng.standard_normal(64) for w in words},
+                               provider=embed.WORD_AVERAGE)
+        picks = rng.integers(len(words), size=(2000, 10, 9)).tolist()
+        docs = [make_doc(f"d{i}", sentences=[
+                    make_sentence("s", tokens=[words[j] for j in sentence]) for sentence in doc])
+                for i, doc in enumerate(picks)]
+        X, peak = _traced_peak(embed_matrix, docs, store)
+        assert X.shape == (20000, 64)
+        assert peak < 2 * X.nbytes
+
+    def test_peak_independent_of_store_size(self):
+        # 50k vectors, 10 of them used: the table holds only the used ones
+        rng = np.random.default_rng(6)
+        store = EmbeddingStore(dim=32, provider=embed.WORD_AVERAGE,
+                               vectors={f"w{i}": rng.standard_normal(32) for i in range(50_000)})
+        store_bytes = 50_000 * 32 * 8
+        docs = [make_doc(f"d{i}", sentences=[make_sentence("s", tokens=[f"w{i}", f"w{i + 1}"])])
+                for i in range(9)]
+        X, peak = _traced_peak(embed_matrix, docs, store)
+        assert X.shape == (9, 32)
+        assert peak < store_bytes / 100
