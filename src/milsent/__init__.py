@@ -16,6 +16,7 @@ from milsent.corpus import (
     NEGATIVE,
     POSITIVE,
     SentenceInstance,
+    Sentences,
     load_corpus,
     save_corpus,
     to_mil_dataset,
@@ -29,6 +30,7 @@ __all__ = [
     "NEGATIVE",
     "POSITIVE",
     "SentenceInstance",
+    "Sentences",
     "TrainConfig",
     "load_corpus",
     "save_corpus",

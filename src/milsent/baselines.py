@@ -135,8 +135,8 @@ def fit_logistic_gd(
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    classes = np.unique(y)
-    if len(classes) < 2:
+    # not np.unique: its first call in a process imports numpy.ma
+    if not y.size or y.min() == y.max():
         raise ValueError("need at least one example of each class")
     n = len(y)
     if step is None:

@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from milsent.corpus import (
     LABEL_TO_TEXT,
     NEGATIVE,
     POSITIVE,
-    SentenceInstance,
+    Sentences,
     load_corpus,
     save_corpus,
     to_mil_dataset,
@@ -190,13 +191,11 @@ def cmd_preprocess(args) -> int:
 
     processed = []
     for doc, sentences in split_docs:
-        instances = tuple(
-            SentenceInstance(
-                text=text, tokens=tuple(preprocess.apply_vocabulary(tokens, vocab))
-            )
-            for text, tokens in sentences
+        columns = Sentences(
+            [text for text, _ in sentences],
+            [tuple(preprocess.apply_vocabulary(tokens, vocab)) for _, tokens in sentences],
         )
-        processed.append(replace(doc, sentences=instances))
+        processed.append(replace(doc, sentences=columns))
     kept = preprocess.filter_corpus(processed, pconfig)
 
     save_corpus(kept, args.corpus_out)
@@ -406,6 +405,25 @@ def cmd_train(args) -> int:
 # ------------------------------------------------------------------- predict
 
 
+def _stacked_scores(model: mil.MilModel, X: np.ndarray, counts: np.ndarray, docs) -> np.ndarray:
+    """The scores of the rows of X, document i's counts[i] rows after those
+    of the documents before it: one stacked product per chunk of documents
+    with equal sentence counts, each document's scores bit-identical to
+    scoring its rows alone. An overflowing score names the first document,
+    in corpus order, that has one."""
+    scores = np.empty(len(X))
+    errors = []
+    for chunk, index in embed.rows_by_count(counts):
+        try:
+            scores[index] = mil.stacked_sentence_scores(model, X[index])
+        except mil.ScoreError as exc:
+            errors.append((int(chunk[exc.index[0]]), exc))
+    if errors:
+        first, exc = min(errors, key=lambda error: error[0])
+        raise ValueError(f"document {docs[first].id}: {exc}") from exc
+    return scores
+
+
 def cmd_predict(args) -> int:
     _require_file(args.model, "model file")
     _require_file(args.corpus_in, "input corpus")
@@ -423,20 +441,18 @@ def cmd_predict(args) -> int:
             )
         X = embed.embed_matrix(docs, store)
         zero_vectors = _zero_vectors([X])
+        counts = np.fromiter((len(doc.sentences) for doc in docs), dtype=np.intp,
+                             count=len(docs))
+        all_scores = _stacked_scores(model, X, counts, docs)
+        all_labels = mil.sentence_labels(all_scores).tolist()
+        all_scores = all_scores.tolist()
         lo = 0
-        for doc in docs:
-            if not doc.sentences:
+        for doc, k in zip(docs, counts.tolist()):
+            if not k:
                 out_docs.append(doc)
                 continue
-            hi = lo + len(doc.sentences)
-            try:
-                # one call per document: a single call over all rows may
-                # round differently in the last bit, by BLAS blocking
-                scores = mil.sentence_scores(model, X[lo:hi])
-            except ValueError as exc:
-                raise ValueError(f"document {doc.id}: {exc}") from exc
-            lo = hi
-            labels = mil.sentence_labels(scores)
+            labels, scores = all_labels[lo:lo + k], all_scores[lo:lo + k]
+            lo += k
             doc_label, n_pos, n_neg = mil.document_vote(labels, scores)
             doc_summaries[doc.id] = {
                 "label": LABEL_TO_TEXT[doc_label],
@@ -447,9 +463,11 @@ def cmd_predict(args) -> int:
 
     save_corpus(out_docs, args.corpus_out)
     docs_path = Path(str(args.corpus_out) + ".docs.json")
+    # one string, one write: json.dump would stream the indented text in
+    # many small writes
+    text = json.dumps(doc_summaries, indent=2, sort_keys=True)
     with open(docs_path, "w", encoding="utf-8") as handle:
-        json.dump(doc_summaries, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")
     _eprint(f"predicted {sum(len(d.sentences) for d in out_docs)} sentences "
             f"in {len(out_docs)} documents")
 
@@ -472,8 +490,8 @@ def _sentence_pairs(gold_docs, pred_docs, pred_name: str):
     pred_by_id = {d.id: d for d in pred_docs}
     predicted, gold = [], []
     for doc in gold_docs:
-        gold_labels = [s.predicted_label for s in doc.sentences]
-        if not any(label is not None for label in gold_labels):
+        gold_labels = doc.sentences.labels
+        if gold_labels.count(None) == len(gold_labels):
             continue
         pred_doc = pred_by_id.get(doc.id)
         if pred_doc is None:
@@ -483,11 +501,13 @@ def _sentence_pairs(gold_docs, pred_docs, pred_name: str):
                 f"label-file mismatch: document {doc.id} has {len(doc.sentences)} gold "
                 f"sentences but {len(pred_doc.sentences)} predicted"
             )
-        for gold_label, pred_sentence in zip(gold_labels, pred_doc.sentences):
-            if gold_label is None:
-                continue
-            gold.append(gold_label)
-            predicted.append(pred_sentence.predicted_label)
+        pred_labels = pred_doc.sentences.labels
+        if None in gold_labels:
+            kept = [label is not None for label in gold_labels]
+            gold_labels = compress(gold_labels, kept)
+            pred_labels = compress(pred_labels, kept)
+        gold.extend(gold_labels)
+        predicted.extend(pred_labels)
     if not gold:
         raise CorpusError("no gold sentence labels found in the gold corpus")
     return predicted, gold
@@ -495,8 +515,9 @@ def _sentence_pairs(gold_docs, pred_docs, pred_name: str):
 
 def _majority_label(doc: Document) -> int | None:
     """Vote of the labelled sentences; ties consult scores only if all have one."""
-    labels = [s.predicted_label for s in doc.sentences if s.predicted_label is not None]
-    scores = [s.score for s in doc.sentences]
+    labels, scores = doc.sentences.labels, doc.sentences.scores
+    if None in labels:
+        labels = [label for label in labels if label is not None]
     return mil.document_vote(labels, None if None in scores else scores)[0]
 
 

@@ -6,15 +6,28 @@ Optional: ``sentences`` (array of strings), ``label`` ("pos"/"neg"),
 ``abnormal_return`` (decimal fraction), plus pipeline-state arrays parallel
 to ``sentences``: ``sentence_tokens``, ``sentence_labels``,
 ``sentence_scores``.
+
+A document keeps its sentences as columns, not as one object per sentence:
+`Sentences` holds a tuple each of texts, token tuples, labels and scores,
+and the embeddings as one n x d matrix (or None). It checks the columns
+once, when it is built. Indexing or iterating it yields `SentenceInstance`
+views, built on demand: each costs one `SentenceInstance` construction,
+checks included, and nothing is cached. Reading and writing a corpus,
+`with_predictions`, `to_mil_dataset`, embedding, prediction and evaluation
+read and write the columns and build no view; code that walks
+`doc.sentences` one sentence at a time (rendering, preprocessing input,
+user scripts) gets views.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, replace
 from datetime import date
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,6 +62,27 @@ def utf8_lines(handle, path, error: type[Exception], unit: str = "line"):
         raise error(f"{path}: {unit} {line_no}: not valid UTF-8 ({exc.reason})") from exc
 
 
+def _check_prediction(label, score) -> None:
+    """The rule for one sentence's label and score: a label is 0, 1 or None
+    and may stand alone (gold annotations, dictionary output); a score never
+    does, and always agrees with its label."""
+    if label not in (POSITIVE, NEGATIVE, None):
+        raise CorpusError(f"predicted_label must be 0, 1 or None, got {label!r}")
+    if score is not None:
+        if label is None:
+            raise CorpusError("score requires a predicted_label")
+        expected = POSITIVE if score >= 0.5 else NEGATIVE
+        if label != expected:
+            raise CorpusError(f"predicted_label {label} inconsistent with score {score}")
+
+
+def _vector(embedding) -> np.ndarray:
+    emb = np.asarray(embedding, dtype=float)
+    if emb.ndim != 1:
+        raise CorpusError("sentence embedding must be a 1-d vector")
+    return emb
+
+
 @dataclass(frozen=True)
 class SentenceInstance:
     """One sentence of a document: the instance of the MIL problem."""
@@ -61,37 +95,122 @@ class SentenceInstance:
 
     def __post_init__(self):
         if self.embedding is not None:
-            emb = np.asarray(self.embedding, dtype=float)
-            if emb.ndim != 1:
-                raise CorpusError("sentence embedding must be a 1-d vector")
-            object.__setattr__(self, "embedding", emb)
+            object.__setattr__(self, "embedding", _vector(self.embedding))
         object.__setattr__(self, "tokens", tuple(self.tokens))
-        # A label may stand alone (gold annotations, dictionary output);
-        # a score never does, and always agrees with its label.
-        if self.score is not None:
-            if self.predicted_label is None:
-                raise CorpusError("score requires a predicted_label")
-            expected = POSITIVE if self.score >= 0.5 else NEGATIVE
-            if self.predicted_label != expected:
-                raise CorpusError(
-                    f"predicted_label {self.predicted_label} inconsistent with score {self.score}"
-                )
+        _check_prediction(self.predicted_label, self.score)
+
+
+_LABELS = {POSITIVE, NEGATIVE, None}
+_AT_LEAST_HALF = (0.5).__le__
+_SENTENCE_FIELDS = attrgetter("text", "tokens", "embedding", "predicted_label", "score")
+
+
+class Sentences(SequenceABC):
+    """The sentences of a document as columns, one entry per sentence.
+
+    `texts`, `tokens` (one tuple of strings per sentence), `labels` and
+    `scores` are tuples; `labels` and `scores` default to all None, `tokens`
+    to all empty. `embeddings` is None, an n x d matrix, or a tuple of 1-d
+    vectors and Nones (the form `of` builds when the sentences it is given
+    carry embeddings). The columns are checked once, here, and cannot be
+    reassigned; indexing or iterating builds `SentenceInstance` views, and a
+    slice is a `Sentences`.
+    """
+
+    __slots__ = ("texts", "tokens", "labels", "scores", "embeddings")
+
+    def __init__(self, texts: Iterable[str] = (), tokens=None, labels=None, scores=None,
+                 embeddings=None):
+        texts = tuple(texts)
+        n = len(texts)
+        tokens = ((),) * n if tokens is None else tuple(tokens)
+        labels = (None,) * n if labels is None else tuple(labels)
+        scores = (None,) * n if scores is None else tuple(scores)
+        if not len(tokens) == len(labels) == len(scores) == n:
+            raise CorpusError("sentence columns have mismatched lengths")
+        if isinstance(embeddings, np.ndarray):
+            embeddings = np.asarray(embeddings, dtype=float)
+            if embeddings.ndim != 2 or len(embeddings) != n:
+                raise CorpusError(f"embeddings must be a {n} x d matrix, "
+                                  f"got shape {embeddings.shape}")
+        elif embeddings is not None:
+            embeddings = tuple(None if e is None else _vector(e) for e in embeddings)
+            if len(embeddings) != n:
+                raise CorpusError("sentence columns have mismatched lengths")
+        # whole-column tests first; the per-sentence rule only finds the
+        # error, or passes the Nones that the fast test cannot read
+        if not (_LABELS.issuperset(labels) and (
+                scores.count(None) == n or tuple(map(_AT_LEAST_HALF, scores)) == labels)):
+            for label, score in zip(labels, scores):
+                _check_prediction(label, score)
+        _set = object.__setattr__
+        _set(self, "texts", texts)
+        _set(self, "tokens", tokens)
+        _set(self, "labels", labels)
+        _set(self, "scores", scores)
+        _set(self, "embeddings", embeddings)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"Sentences is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    @classmethod
+    def of(cls, sentences: Iterable[SentenceInstance]) -> Sentences:
+        """The columns of `SentenceInstance`s."""
+        columns = list(zip(*map(_SENTENCE_FIELDS, sentences))) or [()] * 5
+        texts, tokens, embeddings, labels, scores = columns
+        if all(e is None for e in embeddings):
+            embeddings = None
+        return cls(texts, tokens, labels, scores, embeddings)
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            embeddings = None if self.embeddings is None else self.embeddings[index]
+            return Sentences(self.texts[index], self.tokens[index], self.labels[index],
+                             self.scores[index], embeddings)
+        embedding = None if self.embeddings is None else self.embeddings[index]
+        return SentenceInstance(self.texts[index], self.tokens[index], embedding,
+                                self.labels[index], self.scores[index])
+
+    def __iter__(self):
+        embeddings = repeat(None) if self.embeddings is None else self.embeddings
+        for text, tokens, embedding, label, score in zip(
+                self.texts, self.tokens, embeddings, self.labels, self.scores):
+            yield SentenceInstance(text, tokens, embedding, label, score)
+
+    def __eq__(self, other):
+        """Equal to a `Sentences` or a tuple with equal views in order."""
+        if not isinstance(other, (Sentences, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Sentences({list(self)!r})"
 
 
 @dataclass(frozen=True)
 class Document:
-    """A news item: the labeled group of the MIL problem."""
+    """A news item: the labeled group of the MIL problem. `sentences` may be
+    given as any iterable of `SentenceInstance`s; it is kept as `Sentences`."""
 
     id: str
     ticker: str
     published_at: date
     raw_text: str
-    sentences: tuple[SentenceInstance, ...] = ()
+    sentences: Sentences = Sentences()
     label: int | None = None
     abnormal_return: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "sentences", tuple(self.sentences))
+        if type(self.sentences) is not Sentences:
+            object.__setattr__(self, "sentences", Sentences.of(self.sentences))
         if self.label is not None and self.label not in (POSITIVE, NEGATIVE):
             raise CorpusError(f"document {self.id}: label must be 0 or 1")
         if self.label is not None and self.abnormal_return is not None:
@@ -172,6 +291,12 @@ def _parse_record(line: str) -> Document:
         raise CorpusError(f"malformed record: {exc}") from exc
     if not isinstance(obj, dict):
         raise CorpusError("record is not an object")
+    if "\\u" in line:  # only an escape can spell a lone surrogate
+        try:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise CorpusError(
+                f"record holds text that UTF-8 cannot encode ({exc.reason})") from None
     for key in ("id", "ticker", "published_at", "text"):
         if key not in obj:
             raise CorpusError(f"record missing required field {key!r}")
@@ -209,21 +334,18 @@ def _parse_record(line: str) -> Document:
     if not (n == len(tokens) == len(labels) == len(scores)):
         raise CorpusError("sentence arrays have mismatched lengths")
 
-    sentences = [
-        SentenceInstance(
-            text=text,
-            tokens=tuple(toks) if toks else (),
-            predicted_label=_TEXT_TO_LABEL.get(lab),
-            score=score,
-        )
-        for text, toks, lab, score in zip(texts, tokens, labels, scores)
-    ]
+    sentences = Sentences(
+        texts,
+        [tuple(toks) if toks else () for toks in tokens],
+        map(_TEXT_TO_LABEL.get, labels),
+        scores,
+    )
     return Document(
         id=obj["id"],
         ticker=obj["ticker"],
         published_at=published,
         raw_text=obj["text"],
-        sentences=tuple(sentences),
+        sentences=sentences,
         label=_TEXT_TO_LABEL.get(label),
         abnormal_return=abnormal,
     )
@@ -254,6 +376,9 @@ def load_corpus(path) -> list[Document]:
     return docs
 
 
+_LABEL_TEXT = {**LABEL_TO_TEXT, None: None}
+
+
 def _record_of(doc: Document) -> dict:
     record: dict = {
         "id": doc.id,
@@ -261,17 +386,17 @@ def _record_of(doc: Document) -> dict:
         "published_at": doc.published_at.isoformat(),
         "text": doc.raw_text,
     }
-    if doc.sentences:
-        record["sentences"] = [s.text for s in doc.sentences]
-        if any(s.tokens for s in doc.sentences):
-            record["sentence_tokens"] = [list(s.tokens) for s in doc.sentences]
-        if any(s.predicted_label is not None for s in doc.sentences):
-            record["sentence_labels"] = [
-                None if s.predicted_label is None else LABEL_TO_TEXT[s.predicted_label]
-                for s in doc.sentences
-            ]
-            if any(s.score is not None for s in doc.sentences):
-                record["sentence_scores"] = [s.score for s in doc.sentences]
+    sentences = doc.sentences
+    n = len(sentences)
+    if n:
+        # tuples encode as JSON arrays, byte for byte as lists do
+        record["sentences"] = sentences.texts
+        if any(sentences.tokens):
+            record["sentence_tokens"] = sentences.tokens
+        if sentences.labels.count(None) != n:
+            record["sentence_labels"] = list(map(_LABEL_TEXT.__getitem__, sentences.labels))
+            if sentences.scores.count(None) != n:
+                record["sentence_scores"] = sentences.scores
     if doc.label is not None:
         record["label"] = LABEL_TO_TEXT[doc.label]
     if doc.abnormal_return is not None:
@@ -291,11 +416,29 @@ def save_corpus(docs: Iterable[Document], path) -> None:
             handle.write("\n")
 
 
+def _embedding_rows(doc: Document, dim: int | None) -> np.ndarray:
+    """The embedding matrix of a document whose sentences carry their vectors
+    one by one; a missing vector or a width other than `dim` (the first
+    vector's, when None) names the document."""
+    rows = doc.sentences.embeddings or (None,) * len(doc.sentences)
+    for idx, row in enumerate(rows):
+        if row is None:
+            raise CorpusError(f"document {doc.id}: sentence {idx} has no embedding")
+        if dim is None:
+            dim = len(row)
+        elif len(row) != dim:
+            raise CorpusError(
+                f"document {doc.id}: embedding dimension {len(row)} != corpus dimension {dim}"
+            )
+    return np.stack(rows)
+
+
 def to_mil_dataset(corpus: Sequence[Document]) -> MilDataset:
     """One group per labeled document, in corpus order, sentences in order.
 
     Every document must carry a label and every sentence an embedding of the
-    corpus-wide dimension.
+    corpus-wide dimension. A document's embedding matrix is its group, not a
+    copy of it.
     """
     groups = []
     dim: int | None = None
@@ -304,19 +447,17 @@ def to_mil_dataset(corpus: Sequence[Document]) -> MilDataset:
             raise CorpusError(f"document {doc.id} has no label")
         if not doc.sentences:
             raise CorpusError(f"document {doc.id} has no sentences")
-        vectors = []
-        for idx, sentence in enumerate(doc.sentences):
-            if sentence.embedding is None:
-                raise CorpusError(f"document {doc.id}: sentence {idx} has no embedding")
-            if dim is None:
-                dim = len(sentence.embedding)
-            elif len(sentence.embedding) != dim:
-                raise CorpusError(
-                    f"document {doc.id}: embedding dimension "
-                    f"{len(sentence.embedding)} != corpus dimension {dim}"
-                )
-            vectors.append(sentence.embedding)
-        groups.append((np.stack(vectors), doc.label))
+        matrix = doc.sentences.embeddings
+        if not isinstance(matrix, np.ndarray):
+            matrix = _embedding_rows(doc, dim)
+        if dim is None:
+            dim = matrix.shape[1]
+        elif matrix.shape[1] != dim:
+            raise CorpusError(
+                f"document {doc.id}: embedding dimension {matrix.shape[1]} "
+                f"!= corpus dimension {dim}"
+            )
+        groups.append((matrix, doc.label))
     return MilDataset(groups=tuple(groups), dim=0 if dim is None else dim)
 
 
@@ -324,13 +465,9 @@ def with_predictions(
     doc: Document, labels: Sequence[int], scores: Sequence[float]
 ) -> Document:
     """Attach per-sentence predictions, returning a new document."""
-    if len(labels) != len(doc.sentences) or len(scores) != len(doc.sentences):
+    sentences = doc.sentences
+    if len(labels) != len(sentences) or len(scores) != len(sentences):
         raise CorpusError(f"document {doc.id}: prediction arrays mismatch sentences")
-    # Python scalars first: converting numpy scalars one at a time is slower
-    labels, scores = np.asarray(labels).tolist(), np.asarray(scores).tolist()
-    sentences = tuple(
-        SentenceInstance(text=s.text, tokens=s.tokens, embedding=s.embedding,
-                         predicted_label=int(lab), score=float(score))
-        for s, lab, score in zip(doc.sentences, labels, scores)
-    )
-    return replace(doc, sentences=sentences)
+    predicted = Sentences(sentences.texts, sentences.tokens, map(int, labels),
+                          map(float, scores), sentences.embeddings)
+    return replace(doc, sentences=predicted)

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from milsent.corpus import Document, SentenceInstance, utf8_lines
+from milsent.corpus import Document, Sentences, utf8_lines
 from milsent.preprocess import tokenize
 
 PRECOMPUTED_SENTENCE = "precomputed-sentence"
@@ -175,8 +175,18 @@ def _averages(token_lists: Sequence[Sequence[str]], store: EmbeddingStore) -> np
     in sorted token order; the zero row when no token is known."""
     index, table = _token_table(set(chain.from_iterable(token_lists)), store)
     rows, counts = _sorted_rows(token_lists, index)
-    starts = np.cumsum(counts) - counts
     out = np.zeros((len(token_lists), store.dim))
+    for chunk, index in rows_by_count(counts):
+        out[chunk] = np.mean(table[rows[index]], axis=1)
+    return out
+
+
+def rows_by_count(counts: np.ndarray):
+    """Chunks (items, index) of the items with k > 0 rows each, grouped by k,
+    at most `GATHER_ROWS` rows a chunk: `items` are m item positions in
+    ascending order and `index` is the m x k index of their rows in the
+    concatenation of all items' rows."""
+    starts = np.cumsum(counts) - counts
     # the counts that occur, without np.unique: its first call imports
     # numpy.ma, about 1 MB and 10-15 ms
     ks = np.flatnonzero(np.bincount(counts))
@@ -186,8 +196,7 @@ def _averages(token_lists: Sequence[Sequence[str]], store: EmbeddingStore) -> np
         step = max(1, GATHER_ROWS // k)
         for lo in range(0, len(members), step):
             chunk = members[lo:lo + step]
-            out[chunk] = np.mean(table[rows[starts[chunk, None] + offsets]], axis=1)
-    return out
+            yield chunk, starts[chunk, None] + offsets
 
 
 def embed_sentence(
@@ -227,19 +236,21 @@ def embed_matrix(docs: Sequence[Document], store: EmbeddingStore) -> np.ndarray:
         for row, key in enumerate(keys):
             out[row] = _precomputed_vector(store, key)
         return out
-    return _averages(
-        [s.tokens or tokenize(s.text) for doc in docs for s in doc.sentences], store
-    )
+    return _averages([
+        tokens or tokenize(text)
+        for doc in docs for text, tokens in zip(doc.sentences.texts, doc.sentences.tokens)
+    ], store)
 
 
 def embed_corpus(docs: Sequence[Document], store: EmbeddingStore) -> list[Document]:
-    """`docs` with each sentence's row of `embed_matrix` attached."""
-    rows = iter(embed_matrix(docs, store))
-    return [
-        replace(doc, sentences=tuple(
-            SentenceInstance(text=s.text, tokens=s.tokens, embedding=next(rows),
-                             predicted_label=s.predicted_label, score=s.score)
-            for s in doc.sentences
-        ))
-        for doc in docs
-    ]
+    """`docs` with their rows of `embed_matrix` attached as each document's
+    embeddings column, a slice of the one matrix."""
+    X = embed_matrix(docs, store)
+    out, lo = [], 0
+    for doc in docs:
+        columns = doc.sentences
+        hi = lo + len(columns)
+        out.append(replace(doc, sentences=Sentences(
+            columns.texts, columns.tokens, columns.labels, columns.scores, X[lo:hi])))
+        lo = hi
+    return out

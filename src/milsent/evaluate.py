@@ -159,12 +159,11 @@ def label_distribution(corpus: Sequence[Document]) -> DistributionTable:
     for doc in corpus:
         if doc.label is None:
             continue
-        labels = [s.predicted_label for s in doc.sentences if s.predicted_label is not None]
-        if not labels:
+        labels = doc.sentences.labels
+        pos, neg = labels.count(POSITIVE), labels.count(NEGATIVE)
+        if not pos + neg:
             continue
         n_docs += 1
-        pos = sum(1 for lab in labels if lab == POSITIVE)
-        neg = len(labels) - pos
         counts[doc.label][POSITIVE] += pos
         counts[doc.label][NEGATIVE] += neg
         if pos and neg:

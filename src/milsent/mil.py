@@ -134,21 +134,47 @@ def _raw_scores(theta: np.ndarray, use_bias: bool, X: np.ndarray) -> np.ndarray:
     return sigmoid(_linear_scores(theta, use_bias, X))
 
 
-def sentence_scores(model: MilModel, group) -> np.ndarray:
-    """Scores of every row of a non-empty instance matrix, in one batched pass.
+class ScoreError(ValueError):
+    """A linear score that is not finite. `index` locates it in the scored
+    array: (row,) for a group, (group, row) for a stack of groups."""
 
-    A linear score that overflows is an error, not a saturated score: the
-    sign of an overflowed sum depends on the BLAS accumulation order."""
+    def __init__(self, message: str, index: tuple[int, ...]):
+        super().__init__(message)
+        self.index = index
+
+
+def _checked_scores(model: MilModel, X: np.ndarray) -> np.ndarray:
+    """Scores over the last axis of X. A linear score that overflows is an
+    error, not a saturated score: the sign of an overflowed sum depends on
+    the BLAS accumulation order."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _linear_scores(model.theta, model.config.use_bias, X)
+    bad = np.argwhere(~np.isfinite(z))
+    if len(bad):
+        index = tuple(bad[0].tolist())
+        raise ScoreError(f"row {index[-1]}: linear score {z[index]} is not finite", index)
+    return sigmoid(z)
+
+
+def sentence_scores(model: MilModel, group) -> np.ndarray:
+    """Scores of every row of a non-empty instance matrix, in one batched pass."""
     X = np.asarray(group, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] != model.dim:
         raise ValueError(f"expected a non-empty instance matrix with {model.dim} columns, "
                          f"got shape {X.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = _linear_scores(model.theta, model.config.use_bias, X)
-    bad = np.flatnonzero(~np.isfinite(z))
-    if bad.size:
-        raise ValueError(f"row {bad[0]}: linear score {z[bad[0]]} is not finite")
-    return sigmoid(z)
+    return _checked_scores(model, X)
+
+
+def stacked_sentence_scores(model: MilModel, groups) -> np.ndarray:
+    """The m x k scores of an m x k x d stack of k-sentence groups in one
+    stacked product: each row is bit-identical to `sentence_scores` of that
+    group alone. A single product over all m * k rows is not: BLAS blocks a
+    taller matrix differently and may round the last bit otherwise."""
+    X = np.asarray(groups, dtype=float)
+    if X.ndim != 3 or X.shape[1] == 0 or X.shape[2] != model.dim:
+        raise ValueError(f"expected a stack of non-empty instance matrices with {model.dim} "
+                         f"columns, got shape {X.shape}")
+    return _checked_scores(model, X)
 
 
 def sentence_labels(scores) -> np.ndarray:

@@ -175,8 +175,9 @@ def apply_vocabulary(tokens: Sequence[str], vocab: Vocabulary) -> list[str]:
 
 
 def _word_count(doc: Document) -> int:
+    s = doc.sentences
     return sum(
-        len(s.tokens) if s.tokens else len(s.text.split()) for s in doc.sentences
+        len(tokens) if tokens else len(text.split()) for text, tokens in zip(s.texts, s.tokens)
     )
 
 

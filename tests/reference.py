@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from milsent.corpus import LABEL_TO_TEXT, NEGATIVE, POSITIVE
+from milsent.corpus import CorpusError, LABEL_TO_TEXT, NEGATIVE, POSITIVE
 from milsent.embed import HASH_FALLBACK, PRECOMPUTED_SENTENCE, _hash_vector, sentence_key
 from milsent.eventstudy import EventStudyError
 from milsent.mil import document_vote, sentence_labels, sentence_scores
@@ -311,3 +311,37 @@ def naive_predict(model, docs, store):
             for s, lab, score in zip(doc.sentences, labels, scores)
         )))
     return out, summaries
+
+
+def naive_sentence_pairs(gold_docs, pred_docs, pred_name: str):
+    """`milsent evaluate --mode sentence` pairing, one sentence object at a
+    time: (predicted labels, gold labels) of every gold-labelled sentence."""
+    pred_by_id = {d.id: d for d in pred_docs}
+    predicted, gold = [], []
+    for doc in gold_docs:
+        gold_labels = [s.predicted_label for s in doc.sentences]
+        if not any(label is not None for label in gold_labels):
+            continue
+        pred_doc = pred_by_id.get(doc.id)
+        if pred_doc is None:
+            raise CorpusError(f"label-file mismatch: document {doc.id} missing from {pred_name}")
+        if len(pred_doc.sentences) != len(doc.sentences):
+            raise CorpusError(
+                f"label-file mismatch: document {doc.id} has {len(doc.sentences)} gold "
+                f"sentences but {len(pred_doc.sentences)} predicted"
+            )
+        for gold_label, pred_sentence in zip(gold_labels, pred_doc.sentences):
+            if gold_label is None:
+                continue
+            gold.append(gold_label)
+            predicted.append(pred_sentence.predicted_label)
+    if not gold:
+        raise CorpusError("no gold sentence labels found in the gold corpus")
+    return predicted, gold
+
+
+def naive_majority_label(doc):
+    """Vote of the labelled sentences; ties consult scores only if all have one."""
+    labels = [s.predicted_label for s in doc.sentences if s.predicted_label is not None]
+    scores = [s.score for s in doc.sentences]
+    return document_vote(labels, None if None in scores else scores)[0]

@@ -7,17 +7,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import milsent
-from milsent import cli
+from milsent import cli, embed
 from milsent.cli import main
-from milsent.corpus import load_corpus, save_corpus
+from milsent.corpus import (CorpusError, Document, SentenceInstance, Sentences, load_corpus,
+                            save_corpus)
 from milsent.embed import load_embeddings
 from milsent.eventstudy import EventLabelConfig
 from milsent.mil import MilModel, TrainConfig, generate_synthetic, load_model, save_model
 from milsent.preprocess import PreprocessConfig
 from conftest import write_jsonl, write_price_csv
-from reference import naive_document_vote, naive_predict
+from reference import (naive_document_vote, naive_majority_label, naive_predict,
+                       naive_sentence_pairs)
 
 
 def write_config(path, **overrides):
@@ -368,6 +371,72 @@ class TestPredict:
         manifest = json.loads((tmp_path / "pred.jsonl.manifest.json").read_text())
         assert manifest["metrics"] == {"zero_vector_sentences": len(zero)}
 
+    @pytest.mark.parametrize("gather_rows", [5, embed.GATHER_ROWS])
+    def test_stacked_groups_equal_per_document_scoring(self, tmp_path, monkeypatch,
+                                                        gather_rows):
+        """Sentence counts 1 to 12, each count's group split over chunks (a
+        1030-document one-sentence group exceeds the real chunk), and
+        documents without sentences, byte for byte against scoring each
+        document's rows alone."""
+        monkeypatch.setattr(embed, "GATHER_ROWS", gather_rows)
+        rng = np.random.default_rng(12)
+        words = [f"w{i}" for i in range(40)]
+        vectors = tmp_path / "words.txt"
+        vectors.write_text("".join(
+            w + " " + " ".join(repr(float(v)) for v in rng.standard_normal(5) * 3) + "\n"
+            for w in words))
+        counts = [int(k) for k in rng.permutation(np.repeat(np.arange(13), 9))]
+        counts += [1] * 1030 if gather_rows == embed.GATHER_ROWS else []
+        write_jsonl(tmp_path / "c.jsonl", [
+            {"id": f"d{i:04d}", "ticker": "X", "published_at": "2005-01-03", "text": "t",
+             "sentences": [" ".join(rng.choice(words, size=int(rng.integers(1, 6))))
+                           for _ in range(k)]}
+            for i, k in enumerate(counts)])
+        model_path, out = tmp_path / "model.json", tmp_path / "pred.jsonl"
+        save_model(MilModel(theta=rng.standard_normal(6), dim=5, config=TrainConfig()),
+                   model_path)
+        assert main(["predict", str(model_path), str(tmp_path / "c.jsonl"), str(vectors),
+                     str(out)]) == 0
+        ref_docs, summaries = naive_predict(load_model(model_path),
+                                            load_corpus(tmp_path / "c.jsonl"),
+                                            load_embeddings(vectors))
+        save_corpus(ref_docs, tmp_path / "ref.jsonl")
+        assert out.read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+        assert (tmp_path / "pred.jsonl.docs.json").read_text() == \
+            json.dumps(summaries, indent=2, sort_keys=True) + "\n"
+        assert len(summaries) == len(counts) - counts.count(0)
+
+    def test_overflow_inside_a_stacked_group_names_its_document(self, tmp_path, monkeypatch,
+                                                                capsys):
+        """Documents g000-g011 of three sentences form one group over several
+        chunks; g007 row 1 overflows, and so does g010's last row. A later
+        two-sentence document, scored in an earlier group, overflows too:
+        the message names the first document in corpus order."""
+        monkeypatch.setattr(embed, "GATHER_ROWS", 6)
+        sizes = [3] * 12 + [2, 2]
+        bad = {("g007", 1), ("g010", 2), ("g013", 0)}
+        rng = np.random.default_rng(5)
+        records, lines = [], []
+        for g, k in enumerate(sizes):
+            doc_id = f"g{g:03d}"
+            records.append({"id": doc_id, "ticker": "X", "published_at": "2005-01-03",
+                            "text": "t", "sentences": [f"s{i}." for i in range(k)]})
+            for i in range(k):
+                row = ["1e308"] * 4 if (doc_id, i) in bad else \
+                    [repr(float(v)) for v in rng.standard_normal(4)]
+                lines.append(f"{doc_id}:{i}\t" + " ".join(row))
+        write_jsonl(tmp_path / "c.jsonl", records)
+        (tmp_path / "v.tsv").write_text("\n".join(lines) + "\n")
+        model_path, out = tmp_path / "model.json", tmp_path / "out.jsonl"
+        save_model(MilModel(theta=np.ones(4), dim=4, config=TrainConfig(use_bias=False)),
+                   model_path)
+        rc = main(["predict", str(model_path), str(tmp_path / "c.jsonl"),
+                   str(tmp_path / "v.tsv"), str(out), "--embedding-format", "sentence"])
+        assert rc == 1
+        assert "error: document g007: row 1: linear score inf is not finite" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_recovers_synthetic_sentence_labels(self, tmp_path):
         corpus, vectors, truth = synthetic_corpus_files(
             tmp_path, n_groups=200, instances=5, dim=16, seed=42
@@ -561,6 +630,59 @@ class TestEvaluate:
         assert rc == 1
         err = capsys.readouterr().err
         assert f"{bad}: line 2: malformed record" in err
+
+
+def _labelled_docs(draw_labels, draw_scores, prefix):
+    docs = []
+    for i, (labels, scored) in enumerate(zip(draw_labels, draw_scores)):
+        scores = [None if lab is None or not scored else (0.75 if lab else 0.25)
+                  for lab in labels]
+        docs.append(Document(f"{prefix}{i}", "X", date(2005, 1, 3), "t",
+                             sentences=Sentences([f"s{j}" for j in range(len(labels))],
+                                                 labels=labels, scores=scores)))
+    return docs
+
+
+LABEL_LISTS = st.lists(st.lists(st.sampled_from([None, 0, 1]), max_size=6), max_size=6)
+
+
+class TestEvaluatePairingOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(gold=LABEL_LISTS, predicted=LABEL_LISTS,
+           scored=st.lists(st.booleans(), min_size=6, max_size=6),
+           drop=st.sets(st.integers(0, 5), max_size=2))
+    def test_pairs_and_votes_equal_the_per_sentence_code(self, gold, predicted, scored, drop):
+        gold_docs = _labelled_docs(gold, [False] * len(gold), "d")
+        pred_docs = [d for i, d in enumerate(_labelled_docs(predicted, scored, "d"))
+                     if i not in drop]
+
+        def outcome(pairing):
+            try:
+                return pairing(gold_docs, pred_docs, "p.jsonl")
+            except CorpusError as exc:
+                return str(exc)
+
+        assert outcome(cli._sentence_pairs) == outcome(naive_sentence_pairs)
+        for doc in pred_docs:
+            assert cli._majority_label(doc) == naive_majority_label(doc)
+
+
+class TestNoSentenceObjects:
+    def test_predict_and_evaluate_build_none(self, tmp_path, monkeypatch):
+        corpus, vectors = word_average_files(tmp_path, n_docs=12)
+        model_path, out = tmp_path / "model.json", tmp_path / "pred.jsonl"
+        save_model(MilModel(theta=np.ones(7), dim=6, config=TrainConfig()), model_path)
+        gold = tmp_path / "gold.jsonl"
+        records = [json.loads(line) for line in corpus.read_text().splitlines()]
+        write_jsonl(gold, [{**r, "sentence_labels": ["pos"] * len(r["sentences"])}
+                           for r in records])
+        built = []
+        monkeypatch.setattr(SentenceInstance, "__post_init__", lambda self: built.append(self))
+        assert main(["predict", str(model_path), str(corpus), str(vectors), str(out)]) == 0
+        for mode in ("sentence", "document"):
+            assert main(["evaluate", str(gold), f"mil={out}", "--mode", mode,
+                         "--out", str(tmp_path / f"{mode}.txt")]) == 0
+        assert built == []
 
 
 class TestRender:

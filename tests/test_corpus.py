@@ -1,12 +1,25 @@
+import copy
+import json
+import math
+import re
+import subprocess
+import sys
+import tempfile
+from dataclasses import replace
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from milsent import corpus
 from milsent.corpus import (
     CorpusError,
+    Document,
     MilDataset,
     SentenceInstance,
+    Sentences,
     load_corpus,
     save_corpus,
     to_mil_dataset,
@@ -194,3 +207,243 @@ def test_with_predictions_keeps_fields_and_checks_each_sentence():
     assert (predicted.id, predicted.raw_text) == (doc.id, doc.raw_text)
     with pytest.raises(CorpusError, match="inconsistent"):
         with_predictions(doc, [1], [0.25])
+
+
+class TestSentenceColumns:
+    @pytest.mark.parametrize("label,score,message", [
+        (None, 0.7, "score requires a predicted_label"),
+        (0, 0.7, "predicted_label 0 inconsistent with score 0.7"),
+        (1, 0.25, "predicted_label 1 inconsistent with score 0.25"),
+        (2, None, "predicted_label must be 0, 1 or None, got 2"),
+        ("pos", None, "predicted_label must be 0, 1 or None, got 'pos'"),
+    ])
+    def test_column_check_speaks_as_the_sentence_check(self, label, score, message):
+        with pytest.raises(CorpusError) as single:
+            SentenceInstance(text="x", predicted_label=label, score=score)
+        with pytest.raises(CorpusError) as column:
+            Sentences(["a", "x"], labels=[1, label], scores=[0.5, score])
+        assert str(single.value) == str(column.value) == message
+
+    def test_every_score_is_checked(self):
+        with pytest.raises(CorpusError, match="inconsistent with score 0.4"):
+            Sentences(["a", "b", "c"], labels=[1, 0, 1], scores=[0.9, 0.1, 0.4])
+        with pytest.raises(CorpusError, match="score requires"):
+            Sentences(["a", "b"], labels=[1, None], scores=[0.9, 0.1])
+        # labels may stand alone, and scores may be ints
+        assert Sentences(["a", "b"], labels=[None, 1], scores=[None, 1]).scores == (None, 1)
+
+    @pytest.mark.parametrize("columns", [
+        {"tokens": [()]}, {"labels": [1, 0, 1]}, {"scores": [0.5]},
+        {"embeddings": np.zeros((3, 2))}, {"embeddings": [None]},
+    ])
+    def test_mismatched_lengths(self, columns):
+        with pytest.raises(CorpusError, match="mismatched lengths|2 x d matrix"):
+            Sentences(["a", "b"], **columns)
+
+    def test_embedding_checks(self):
+        with pytest.raises(CorpusError, match="1-d vector"):
+            Sentences(["a"], embeddings=[np.zeros((2, 2))])
+        with pytest.raises(CorpusError, match="x d matrix"):
+            Sentences(["a"], embeddings=np.zeros(3))
+
+    def test_columns_cannot_be_reassigned(self):
+        sentences = Sentences(["a"])
+        with pytest.raises(AttributeError):
+            sentences.labels = (1,)
+        with pytest.raises(AttributeError):
+            del sentences.texts
+
+
+class TestSentenceViews:
+    """The forms scripts use on `doc.sentences`, as `perfbench/stages.py` does."""
+
+    def _doc(self):
+        return make_doc(sentences=(
+            make_sentence("a b.", tokens=("a", "b"), label=1, score=0.75),
+            make_sentence("c.", tokens=("c",)),
+            make_sentence("d.", label=0),
+        ))
+
+    def test_views_read_the_columns(self):
+        doc = self._doc()
+        assert isinstance(doc.sentences, Sentences) and len(doc.sentences) == 3
+        first, second, third = doc.sentences
+        assert (first.text, first.tokens, first.predicted_label, first.score) == \
+            ("a b.", ("a", "b"), 1, 0.75)
+        assert second.tokens == ("c",) and second.embedding is None
+        assert doc.sentences[-1] == third == SentenceInstance("d.", predicted_label=0)
+        with pytest.raises(IndexError):
+            doc.sentences[3]
+
+    def test_equality_with_tuples_and_slices(self):
+        doc = self._doc()
+        views = tuple(doc.sentences)
+        assert doc.sentences == views and views == tuple(doc.sentences)
+        assert doc.sentences != views[:2] and doc.sentences != list(views)
+        assert doc.sentences[1:] == views[1:] and isinstance(doc.sentences[1:], Sentences)
+        assert doc.sentences[::-1] == views[::-1]
+        assert make_doc().sentences == () and not make_doc().sentences
+        assert doc == replace(doc) and hash(doc) == hash(replace(doc))
+        assert views[1] in doc.sentences and doc.sentences.index(views[2]) == 2
+
+    def test_replace_on_documents_and_views(self):
+        doc = self._doc()
+        relabelled = replace(doc, sentences=tuple(
+            replace(s, predicted_label=1, score=None) for s in doc.sentences))
+        assert relabelled.sentences.labels == (1, 1, 1)
+        assert relabelled.sentences.scores == (None, None, None)
+        assert relabelled.sentences.texts == doc.sentences.texts
+        assert replace(doc, sentences=doc.sentences[:1]).sentences.texts == ("a b.",)
+        with pytest.raises(CorpusError, match="inconsistent"):
+            replace(doc.sentences[0], predicted_label=0)
+        # any iterable of sentences
+        built = Document("x", "X", date(2005, 1, 3), "t", sentences=iter(doc.sentences))
+        assert built.sentences == doc.sentences
+
+    def test_embeddings_of_views(self):
+        doc = make_doc(sentences=(make_sentence("a", embedding=[1.0, 2.0]), make_sentence("b")))
+        first, second = doc.sentences
+        np.testing.assert_array_equal(first.embedding, [1.0, 2.0])
+        assert second.embedding is None
+        matrix = Sentences(["a", "b"], embeddings=np.arange(4.0).reshape(2, 2))
+        np.testing.assert_array_equal(matrix[1].embedding, [2.0, 3.0])
+        assert matrix[1].embedding.any() and not matrix[0].embedding[:1].any()
+
+
+class TestNoSentenceObjects:
+    """Reading, writing and predicting work on columns: no SentenceInstance
+    is built, not even a view."""
+
+    def test_load_save_and_predictions_build_none(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"id": f"d{i}", "ticker": "X", "published_at": "2005-05-12",
+                            "text": "t", "sentences": ["a b.", "c."],
+                            "sentence_tokens": [["a", "b"], None],
+                            "sentence_labels": ["pos", None], "sentence_scores": [0.5, None]}
+                           for i in range(3)])
+        built = []
+        monkeypatch.setattr(SentenceInstance, "__post_init__", lambda self: built.append(self))
+        docs = load_corpus(path)
+        predicted = [with_predictions(doc, [1, 0], [0.5, 0.25]) for doc in docs]
+        save_corpus(predicted, tmp_path / "out.jsonl")
+        embedded = [replace(doc, sentences=Sentences(doc.sentences.texts,
+                                                     embeddings=np.zeros((2, 3))))
+                    for doc in docs]
+        assert to_mil_dataset([replace(d, label=1) for d in embedded]).n_instances == 6
+        assert built == []
+        assert load_corpus(tmp_path / "out.jsonl")[2].sentences[1].score == 0.25
+        assert len(built) == 1
+
+
+VALID_RECORD = {
+    "id": "d1", "ticker": "X", "published_at": "2005-05-12", "text": "t",
+    "sentences": ["a b.", "c.", "d."], "sentence_tokens": [["a", "b"], None, []],
+    "sentence_labels": ["pos", "neg", None], "sentence_scores": [0.75, 0.25, None],
+    "label": "pos", "abnormal_return": 0.01,
+}
+FIELDS = sorted(VALID_RECORD)
+LIST_FIELDS = ["sentences", "sentence_tokens", "sentence_labels", "sentence_scores"]
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+    st.sampled_from(["pos", "neg", "\ud800", "2005-02-30", "05/12/2005"]),
+    st.lists(st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=2)),
+             max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+MUTATION = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(FIELDS), JUNK),
+    st.tuples(st.just("drop"), st.sampled_from(FIELDS), st.none()),
+    st.tuples(st.just("item"), st.sampled_from(LIST_FIELDS), st.tuples(st.integers(0, 2), JUNK)),
+    st.tuples(st.just("length"), st.sampled_from(LIST_FIELDS), st.integers(0, 4)),
+    # a score without a label, a label that contradicts its score
+    st.tuples(st.just("item"), st.just("sentence_labels"),
+              st.tuples(st.integers(0, 2), st.sampled_from([None, "pos", "neg"]))),
+    st.tuples(st.just("item"), st.just("sentence_scores"),
+              st.tuples(st.integers(0, 2), st.sampled_from(
+                  [0.5, 0.4999, 1, 0, True, float("nan"), float("inf"), None]))),
+)
+
+
+def _mutated(mutations) -> dict:
+    record = copy.deepcopy(VALID_RECORD)
+    for kind, key, value in mutations:
+        if kind == "set":
+            record[key] = value
+        elif kind == "drop":
+            record.pop(key, None)
+        elif kind == "item" and isinstance(record.get(key), list) and record[key]:
+            index, item = value
+            record[key][index % len(record[key])] = item
+        elif kind == "length" and isinstance(record.get(key), list):
+            record[key] = (record[key] * 2)[:value]
+    return record
+
+
+def _finite_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _assert_valid(doc: Document) -> None:
+    """A loaded document holds only what the corpus format allows."""
+    assert all(isinstance(v, str) for v in (doc.id, doc.ticker, doc.raw_text))
+    assert doc.label in (0, 1, None)
+    assert doc.abnormal_return is None or _finite_number(doc.abnormal_return)
+    columns = doc.sentences
+    assert all(type(text) is str for text in columns.texts)
+    assert all(type(tokens) is tuple and all(type(t) is str for t in tokens)
+               for tokens in columns.tokens)
+    assert set(columns.labels) <= {0, 1, None}
+    assert all(score is None or _finite_number(score) for score in columns.scores)
+    assert columns.embeddings is None
+
+
+class TestReaderFuzz:
+    """Any record loads and then survives a save and a load unchanged, or
+    fails with a CorpusError naming the file and its line."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutations=st.lists(MUTATION, max_size=3),
+           line=st.one_of(st.none(), st.sampled_from(
+               ["[1, 2]", "5", "null", '"text"', "{oops", "true", "{}"])))
+    def test_loads_and_round_trips_or_names_the_line(self, mutations, line):
+        if line is None:
+            line = json.dumps(_mutated(mutations))  # NaN and Infinity included
+        good = json.dumps({**VALID_RECORD, "id": "d0"})
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.jsonl"
+            path.write_text(good + "\n" + line + "\n", encoding="utf-8")
+            try:
+                docs = load_corpus(path)
+            except CorpusError as exc:
+                assert re.match(re.escape(f"{path}: line 2: ") + ".", str(exc)), str(exc)
+                return
+            for doc in docs:
+                _assert_valid(doc)
+            first, second = Path(tmp) / "a.jsonl", Path(tmp) / "b.jsonl"
+            save_corpus(docs, first)
+            again = load_corpus(first)
+            save_corpus(again, second)
+            assert first.read_bytes() == second.read_bytes()
+            assert [corpus._record_of(d) for d in again] == [corpus._record_of(d) for d in docs]
+            assert [len(d.sentences) for d in again] == [len(d.sentences) for d in docs]
+
+    def test_lone_surrogate_is_a_line_error(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({**VALID_RECORD, "text": "\ud800"}) + "\n")
+        with pytest.raises(CorpusError, match=r"line 1: record holds text that UTF-8 cannot"):
+            load_corpus(path)
+        # an escaped pair is one character and loads
+        path.write_text(json.dumps({**VALID_RECORD, "text": "\U0001F600"}) + "\n")
+        assert load_corpus(path)[0].raw_text == "\U0001F600"
+
+
+def test_logistic_fit_leaves_numpy_ma_unloaded():
+    code = ("import sys, numpy as np\n"
+            "from milsent.baselines import fit_logistic_gd\n"
+            "fit_logistic_gd(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), max_iter=5)\n"
+            "print('numpy.ma' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "False"

@@ -26,6 +26,7 @@ from milsent.mil import (
     save_model,
     sentence_scores,
     sigmoid,
+    stacked_sentence_scores,
     train,
 )
 from reference import (
@@ -148,6 +149,37 @@ class TestScores:
             predict_sentence(model, np.array(huge))
         with pytest.raises(ValueError, match="row 0"):
             sentence_scores(model_of([1.0, 1.0], dim=2, config=NO_BIAS), np.array([huge]))
+
+
+class TestStackedScores:
+    @pytest.mark.parametrize("use_bias", [True, False])
+    def test_each_group_equals_scoring_it_alone(self, use_bias):
+        rng = np.random.default_rng(9)
+        model = model_of(rng.standard_normal(33 if use_bias else 32), dim=32,
+                         config=TrainConfig(use_bias=use_bias))
+        for m, k in ((1, 1), (7, 3), (40, 12), (300, 2)):
+            stack = rng.standard_normal((m, k, 32)) * 10.0 ** rng.uniform(-3, 3, (m, k, 1))
+            scores = stacked_sentence_scores(model, stack)
+            assert scores.shape == (m, k)
+            for group, row in zip(stack, scores):
+                assert np.array_equal(row, sentence_scores(model, group))
+
+    def test_shape_checks(self):
+        model = model_of(np.zeros(3), dim=2)
+        for bad in (np.zeros((2, 2)), np.zeros((2, 0, 2)), np.zeros((2, 3, 3))):
+            with pytest.raises(ValueError, match="stack of non-empty instance matrices"):
+                stacked_sentence_scores(model, bad)
+
+    def test_overflow_locates_group_and_row(self):
+        model = model_of([1.0, 1.0], dim=2, config=NO_BIAS)
+        stack = np.zeros((4, 3, 2))
+        stack[2, 1] = stack[3, 0] = 1e308
+        with pytest.raises(mil.ScoreError, match="^row 1: linear score inf is not finite$") as exc:
+            stacked_sentence_scores(model, stack)
+        assert exc.value.index == (2, 1)
+        with pytest.raises(mil.ScoreError) as exc:
+            sentence_scores(model, stack[3])
+        assert exc.value.index == (0,)
 
 
 def scalar_logit(p):
