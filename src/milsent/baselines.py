@@ -157,16 +157,6 @@ def fit_logistic_gd(
     return w, b, iterations
 
 
-def logistic_loss(X, y, w, b, l2_strength: float = 0.0) -> float:
-    """Mean cross-entropy plus the L2 penalty; the quantity fit_logistic_gd
-    minimizes."""
-    z = np.asarray(X, dtype=float) @ w + b
-    y = np.asarray(y, dtype=float)
-    # log(1 + exp(-|z|)) variant avoids overflow on both branches.
-    ce = np.mean(np.logaddexp(0.0, z) - y * z)
-    return float(ce) + 0.5 * l2_strength * float(np.dot(w, w))
-
-
 def train_bow_logreg(
     features: Sequence[Mapping[int, float]],
     labels: Sequence[int],

@@ -295,15 +295,12 @@ def _build_store(args) -> embed.EmbeddingStore:
     return store
 
 
-def _zero_vectors(matrices) -> int:
-    """Count of sentences embedded as the zero vector (no tokens, or none in
-    the vocabulary), announced in one stderr line when there are any."""
-    zero = total = 0
-    for X in matrices:
-        zero += int(np.count_nonzero(~X.any(axis=1)))
-        total += len(X)
+def _zero_vectors(X: np.ndarray) -> int:
+    """Count of the rows of X embedded as the zero vector (no tokens, or none
+    in the vocabulary), announced in one stderr line when there are any."""
+    zero = int(np.count_nonzero(~X.any(axis=1)))
     if zero:
-        _eprint(f"warning: {zero} of {total} sentences embedded as the zero vector")
+        _eprint(f"warning: {zero} of {len(X)} sentences embedded as the zero vector")
     return zero
 
 
@@ -343,7 +340,7 @@ def cmd_train(args) -> int:
     docs = load_corpus(args.corpus_in)
     store = _build_store(args)
     dataset = to_mil_dataset(embed.embed_corpus(docs, store))
-    zero_vectors = _zero_vectors(m for m, _ in dataset.groups)
+    zero_vectors = _zero_vectors(dataset.X)
     if args.gamma == "median":
         config = replace(config, kernel_gamma=mil.median_heuristic_gamma(dataset, seed=args.seed))
         _eprint(f"median-heuristic gamma: {config.kernel_gamma:.6g}")
@@ -415,7 +412,7 @@ def _stacked_scores(model: mil.MilModel, X: np.ndarray, counts: np.ndarray, docs
     errors = []
     for chunk, index in embed.rows_by_count(counts):
         try:
-            scores[index] = mil.stacked_sentence_scores(model, X[index])
+            scores[index] = mil.sentence_scores(model, X[index])
         except mil.ScoreError as exc:
             errors.append((int(chunk[exc.index[0]]), exc))
     if errors:
@@ -440,7 +437,7 @@ def cmd_predict(args) -> int:
                 f"embedding dimension {store.dim} conflicts with model dimension {model.dim}"
             )
         X = embed.embed_matrix(docs, store)
-        zero_vectors = _zero_vectors([X])
+        zero_vectors = _zero_vectors(X)
         counts = np.fromiter((len(doc.sentences) for doc in docs), dtype=np.intp,
                              count=len(docs))
         all_scores = _stacked_scores(model, X, counts, docs)

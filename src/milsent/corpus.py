@@ -1,4 +1,4 @@
-"""Document/sentence data model, corpus file I/O, and the MIL dataset view.
+"""Document/sentence data model, corpus file I/O, and the MIL dataset.
 
 A corpus file is JSON Lines: one document object per line, UTF-8. Required
 fields: ``id``, ``ticker``, ``published_at`` (ISO-8601 date), ``text``.
@@ -17,6 +17,11 @@ checks included, and nothing is cached. Reading and writing a corpus,
 read and write the columns and build no view; code that walks
 `doc.sentences` one sentence at a time (rendering, preprocessing input,
 user scripts) gets views.
+
+`MilDataset` is the input of multi-instance training: the labelled groups
+stacked once, when it is built, into one n x d matrix `X` with one label
+and one size per group. Training, the loss and its gradient read that
+layout directly; each entry of its `groups` is a view of `X`.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import date
 from itertools import chain, repeat
 from operator import attrgetter
@@ -213,6 +218,10 @@ class Document:
             object.__setattr__(self, "sentences", Sentences.of(self.sentences))
         if self.label is not None and self.label not in (POSITIVE, NEGATIVE):
             raise CorpusError(f"document {self.id}: label must be 0 or 1")
+        if self.abnormal_return is not None and not math.isfinite(self.abnormal_return):
+            raise CorpusError(
+                f"document {self.id}: abnormal return {self.abnormal_return} is not finite"
+            )
         if self.label is not None and self.abnormal_return is not None:
             expected = POSITIVE if self.abnormal_return > 0 else NEGATIVE
             if self.label != expected:
@@ -224,13 +233,21 @@ class Document:
 
 @dataclass(frozen=True)
 class MilDataset:
-    """Groups of instance vectors with binary group labels."""
+    """Groups of instance vectors with binary group labels, stacked once.
+
+    `X` holds every instance, n x dim, group after group; `labels` and
+    `sizes` hold one entry per group. Each entry of `groups` is (a view of
+    X, label): the given matrices are copied into X and not kept.
+    """
 
     groups: tuple[tuple[np.ndarray, int], ...]
     dim: int
+    X: np.ndarray = field(init=False, repr=False, compare=False)
+    labels: np.ndarray = field(init=False, repr=False, compare=False)
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        norm = []
+        matrices, labels = [], []
         for matrix, label in self.groups:
             matrix = np.asarray(matrix, dtype=float)
             if matrix.ndim != 2 or matrix.shape[0] == 0:
@@ -241,8 +258,15 @@ class MilDataset:
                 )
             if label not in (POSITIVE, NEGATIVE):
                 raise CorpusError("group labels must be 0 or 1")
-            norm.append((matrix, int(label)))
-        object.__setattr__(self, "groups", tuple(norm))
+            matrices.append(matrix)
+            labels.append(int(label))
+        X = np.concatenate(matrices) if matrices else np.empty((0, self.dim))
+        sizes = np.array([len(matrix) for matrix in matrices], dtype=np.intp)
+        _set = object.__setattr__
+        _set(self, "groups", tuple(zip(np.split(X, np.cumsum(sizes)[:-1]), labels)))
+        _set(self, "X", X)
+        _set(self, "labels", np.array(labels, dtype=np.intp))
+        _set(self, "sizes", sizes)
 
     @property
     def n_groups(self) -> int:
@@ -250,7 +274,7 @@ class MilDataset:
 
     @property
     def n_instances(self) -> int:
-        return sum(len(matrix) for matrix, _ in self.groups)
+        return len(self.X)
 
 
 def _is_number(value) -> bool:
@@ -437,8 +461,9 @@ def to_mil_dataset(corpus: Sequence[Document]) -> MilDataset:
     """One group per labeled document, in corpus order, sentences in order.
 
     Every document must carry a label and every sentence an embedding of the
-    corpus-wide dimension. A document's embedding matrix is its group, not a
-    copy of it.
+    corpus-wide dimension. The dataset stacks the documents' embedding
+    matrices into its own `X` once; it keeps no reference to them, so they
+    are freed with the documents.
     """
     groups = []
     dim: int | None = None

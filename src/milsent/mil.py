@@ -1,7 +1,10 @@
 """Multi-instance training of a sentence-level logistic classifier.
 
-Groups of sentence vectors carry one binary label each. The training loss
-couples two pressures: an RBF-similarity weighted penalty on score
+Groups of sentence vectors carry one binary label each. A `MilDataset`
+holds them stacked once into one matrix with per-group labels and sizes;
+the loss, its gradient and training read that layout directly, and a
+minibatch gathers its groups' rows out of the stacked matrix. The training
+loss couples two pressures: an RBF-similarity weighted penalty on score
 differences between similar instances, averaged over all ordered instance
 pairs, and a squared error between each group's mean instance score and its
 label, weighted by `lam`. Minimized by SGD with classical momentum over
@@ -13,6 +16,11 @@ pair is evaluated once, about n^2 / 2 kernel entries, and the time stays
 O(n^2). One kernel sweep serves any number of score columns: training keeps
 the scores after every epoch and traces the exact full-data loss of all
 epochs in a single sweep at the end, not one sweep per epoch.
+
+Prediction has one path: `sentence_scores` scores an instance matrix or a
+stack of equal-sized groups, `sentence_labels` applies the 0.5 rule and
+`document_vote` takes the majority. `document_accuracy` and the `predict`
+command both use it.
 """
 
 from __future__ import annotations
@@ -21,13 +29,10 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from milsent.corpus import MilDataset, NEGATIVE, POSITIVE
-
-Group = tuple[np.ndarray, int]
 
 MODEL_FORMAT = "milsent-model"
 MODEL_VERSION = 1
@@ -111,18 +116,11 @@ def sigmoid(z):
     return out if out.ndim else float(out)
 
 
-def _groups_of(batch) -> tuple[Group, ...]:
-    groups = batch.groups if isinstance(batch, MilDataset) else tuple(batch)
-    if not groups:
+def _stacked(dataset: MilDataset):
+    """(X, labels, sizes) of a dataset that has at least one group."""
+    if not dataset.n_groups:
         raise ValueError("empty batch")
-    return groups
-
-
-def _stack(groups: Sequence[Group]):
-    X = np.vstack([matrix for matrix, _ in groups])
-    labels = np.array([label for _, label in groups], dtype=float)
-    sizes = np.array([len(matrix) for matrix, _ in groups])
-    return X, labels, sizes
+    return dataset.X, dataset.labels, dataset.sizes
 
 
 def _linear_scores(theta: np.ndarray, use_bias: bool, X: np.ndarray) -> np.ndarray:
@@ -143,10 +141,19 @@ class ScoreError(ValueError):
         self.index = index
 
 
-def _checked_scores(model: MilModel, X: np.ndarray) -> np.ndarray:
-    """Scores over the last axis of X. A linear score that overflows is an
-    error, not a saturated score: the sign of an overflowed sum depends on
-    the BLAS accumulation order."""
+def sentence_scores(model: MilModel, X) -> np.ndarray:
+    """The scores of an n x d instance matrix (n > 0), or the m x k scores of
+    an m x k x d stack of k-sentence groups (k > 0), in one batched product.
+    Each row of a stack is bit-identical to scoring that group alone. A
+    single product over all m * k rows is not: BLAS blocks a taller matrix
+    differently and may round the last bit otherwise.
+
+    A linear score that overflows is a `ScoreError`, not a saturated score:
+    the sign of an overflowed sum depends on the BLAS accumulation order."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim not in (2, 3) or X.shape[-2] == 0 or X.shape[-1] != model.dim:
+        raise ValueError(f"expected a non-empty instance matrix, or a stack of them, with "
+                         f"{model.dim} columns, got shape {X.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         z = _linear_scores(model.theta, model.config.use_bias, X)
     bad = np.argwhere(~np.isfinite(z))
@@ -154,27 +161,6 @@ def _checked_scores(model: MilModel, X: np.ndarray) -> np.ndarray:
         index = tuple(bad[0].tolist())
         raise ScoreError(f"row {index[-1]}: linear score {z[index]} is not finite", index)
     return sigmoid(z)
-
-
-def sentence_scores(model: MilModel, group) -> np.ndarray:
-    """Scores of every row of a non-empty instance matrix, in one batched pass."""
-    X = np.asarray(group, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] != model.dim:
-        raise ValueError(f"expected a non-empty instance matrix with {model.dim} columns, "
-                         f"got shape {X.shape}")
-    return _checked_scores(model, X)
-
-
-def stacked_sentence_scores(model: MilModel, groups) -> np.ndarray:
-    """The m x k scores of an m x k x d stack of k-sentence groups in one
-    stacked product: each row is bit-identical to `sentence_scores` of that
-    group alone. A single product over all m * k rows is not: BLAS blocks a
-    taller matrix differently and may round the last bit otherwise."""
-    X = np.asarray(groups, dtype=float)
-    if X.ndim != 3 or X.shape[1] == 0 or X.shape[2] != model.dim:
-        raise ValueError(f"expected a stack of non-empty instance matrices with {model.dim} "
-                         f"columns, got shape {X.shape}")
-    return _checked_scores(model, X)
 
 
 def sentence_labels(scores) -> np.ndarray:
@@ -257,33 +243,31 @@ def _losses(X, S, labels, sizes, lam, gamma) -> np.ndarray:
     return pairwise / (n * n) + lam * group_sq / len(labels)
 
 
-def _loss(theta, use_bias, groups, lam, gamma) -> float:
-    X, labels, sizes = _stack(groups)
+def _loss(theta, use_bias, X, labels, sizes, lam, gamma) -> float:
     s = _raw_scores(theta, use_bias, X)
     return float(_losses(X, s[:, None], labels, sizes, lam, gamma)[0])
 
 
-def _gradient(theta, use_bias, groups, lam, gamma) -> np.ndarray:
-    X, labels, sizes = _stack(groups)
+def _gradient(theta, use_bias, X, labels, sizes, lam, gamma) -> np.ndarray:
     s = _raw_scores(theta, use_bias, X)
     n = len(s)
     _, C = _pairwise_terms(X, s[:, None], gamma)
     # d loss / d z_i for the linear score z_i: s_i (1 - s_i) times the
     # pairwise part plus the group part shared by every instance of a group
     group_part = np.repeat(2.0 * _group_errors(s[:, None], labels, sizes)[:, 0] / sizes, sizes)
-    weight = s * (1.0 - s) * ((4.0 / (n * n)) * C[:, 0] + (lam / len(groups)) * group_part)
+    weight = s * (1.0 - s) * ((4.0 / (n * n)) * C[:, 0] + (lam / len(labels)) * group_part)
     grad = X.T @ weight
     return np.append(grad, np.sum(weight)) if use_bias else grad
 
 
-def loss(model: MilModel, batch, lam: float, gamma: float) -> float:
-    """Training objective over a batch, normalizers read from the batch."""
-    return _loss(model.theta, model.config.use_bias, _groups_of(batch), lam, gamma)
+def loss(model: MilModel, dataset: MilDataset, lam: float, gamma: float) -> float:
+    """Training objective over a dataset, normalizers read from the dataset."""
+    return _loss(model.theta, model.config.use_bias, *_stacked(dataset), lam, gamma)
 
 
-def gradient(model: MilModel, batch, lam: float, gamma: float) -> np.ndarray:
+def gradient(model: MilModel, dataset: MilDataset, lam: float, gamma: float) -> np.ndarray:
     """Closed-form derivative of `loss` with respect to theta."""
-    return _gradient(model.theta, model.config.use_bias, _groups_of(batch), lam, gamma)
+    return _gradient(model.theta, model.config.use_bias, *_stacked(dataset), lam, gamma)
 
 
 @dataclass(frozen=True)
@@ -300,24 +284,25 @@ def train(dataset: MilDataset, config: TrainConfig | None = None) -> TrainResult
     bit-identical parameters.
     """
     config = config or TrainConfig()
-    groups = _groups_of(dataset)
+    X, labels, sizes = _stacked(dataset)
     rng = np.random.default_rng(config.seed)
     n_params = dataset.dim + (1 if config.use_bias else 0)
     theta = rng.uniform(-0.01, 0.01, size=n_params)
     velocity = np.zeros(n_params)
 
     lam, gamma = config.lam, config.kernel_gamma
-    X, labels, sizes = _stack(groups)
     # full-data scores before training and after every epoch; their losses
     # are traced in one kernel sweep once training ends
     scores = np.empty((len(X), config.epochs + 1))
     scores[:, 0] = _raw_scores(theta, config.use_bias, X)
-    order = np.arange(len(groups))
+    order = np.arange(len(labels))
     for epoch in range(config.epochs):
         rng.shuffle(order)
         for batch_no, lo in enumerate(range(0, len(order), config.groups_per_batch)):
-            batch = [groups[i] for i in order[lo : lo + config.groups_per_batch]]
-            grad = _gradient(theta, config.use_bias, batch, lam, gamma)
+            picked = order[lo : lo + config.groups_per_batch]
+            rows = np.concatenate([dataset.groups[i][0] for i in picked])
+            grad = _gradient(theta, config.use_bias, rows, labels[picked], sizes[picked],
+                             lam, gamma)
             if not np.all(np.isfinite(grad)):
                 raise TrainingError(
                     f"non-finite gradient at epoch {epoch + 1}, batch {batch_no + 1}"
@@ -333,25 +318,15 @@ def train(dataset: MilDataset, config: TrainConfig | None = None) -> TrainResult
     return TrainResult(model=model, loss_trace=tuple(float(v) for v in trace))
 
 
-def predict_sentence(model: MilModel, x) -> tuple[int, float]:
-    """(label, score); score >= 0.5 predicts positive."""
-    score = float(sentence_scores(model, np.asarray(x, dtype=float)[None])[0])
-    return int(sentence_labels(score)), score
-
-
-def predict_document(model: MilModel, group) -> tuple[int, int, int]:
-    """`document_vote` over the sentence labels and scores of a group."""
-    scores = sentence_scores(model, group)
-    return document_vote(sentence_labels(scores), scores)
-
-
 def document_accuracy(model: MilModel, dataset: MilDataset) -> float:
-    """Fraction of groups whose majority prediction matches the group label."""
-    groups = _groups_of(dataset)
-    hits = sum(
-        predict_document(model, matrix)[0] == label for matrix, label in groups
-    )
-    return hits / len(groups)
+    """Fraction of groups whose `document_vote` matches the group label. Each
+    group is scored alone, as `predict` scores a document."""
+    _stacked(dataset)  # an empty dataset is an error, as in training
+    hits = 0
+    for matrix, label in dataset.groups:
+        scores = sentence_scores(model, matrix)
+        hits += document_vote(sentence_labels(scores), scores)[0] == label
+    return hits / dataset.n_groups
 
 
 @dataclass(frozen=True)
@@ -397,7 +372,7 @@ def median_heuristic_gamma(
     dataset: MilDataset, max_pairs: int = 10_000, seed: int = 0
 ) -> float:
     """1 / median squared distance over a seeded sample of instance pairs."""
-    X, _, _ = _stack(_groups_of(dataset))
+    X = _stacked(dataset)[0]
     rng = np.random.default_rng(seed)
     n = len(X)
     i = rng.integers(0, n, size=max_pairs)

@@ -10,6 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from milsent.corpus import Document, SentenceInstance
+from milsent.mil import document_vote, sentence_labels, sentence_scores
 
 
 def make_doc(doc_id="d1", ticker="AAA", when=date(2005, 5, 12), text="some text",
@@ -33,6 +34,18 @@ def make_sentence(text="a sentence", tokens=(), embedding=None, label=None, scor
         predicted_label=label,
         score=score,
     )
+
+
+def label_and_score(model, x):
+    """(label, score) of one sentence vector x, scored as a one-row matrix."""
+    score = float(sentence_scores(model, np.asarray(x, dtype=float)[None])[0])
+    return int(sentence_labels(score)), score
+
+
+def vote_of(model, group):
+    """`document_vote` over the sentence labels and scores of one group."""
+    scores = sentence_scores(model, group)
+    return document_vote(sentence_labels(scores), scores)
 
 
 def write_jsonl(path, records):

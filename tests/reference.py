@@ -119,6 +119,16 @@ def relative_gradient_error(analytic, numeric) -> float:
     return float(np.linalg.norm(analytic - numeric)) / scale
 
 
+def logistic_loss(X, y, w, b, l2_strength: float = 0.0) -> float:
+    """Mean cross-entropy plus the L2 penalty; the quantity
+    `baselines.fit_logistic_gd` minimizes."""
+    z = np.asarray(X, dtype=float) @ w + b
+    y = np.asarray(y, dtype=float)
+    # log(1 + exp(-|z|)) variant avoids overflow on both branches.
+    ce = np.mean(np.logaddexp(0.0, z) - y * z)
+    return float(ce) + 0.5 * l2_strength * float(np.dot(w, w))
+
+
 def naive_document_vote(scores) -> tuple[int, int, int]:
     """Recount of the document rule: majority label, mean score on ties."""
     labels = [1 if s >= 0.5 else 0 for s in scores]

@@ -39,11 +39,11 @@ from milsent.mil import (
     generate_synthetic,
     gradient,
     loss,
-    predict_document,
-    predict_sentence,
+    sentence_labels,
+    sentence_scores,
     train,
 )
-from conftest import make_doc
+from conftest import label_and_score, make_doc, vote_of
 from reference import (
     central_difference_gradient,
     naive_document_vote,
@@ -124,8 +124,7 @@ def test_criterion_03_mil_label_recovery():
     dataset, truth = generate_synthetic(200, 5, 16, 3.0, 0.1, seed=42)
     config = TrainConfig(lam=10.0, learning_rate=0.05, momentum=0.8, seed=7)
     result = train(dataset, config)
-    X = np.vstack([matrix for matrix, _ in dataset.groups])
-    predictions = np.array([predict_sentence(result.model, x)[0] for x in X])
+    predictions = sentence_labels(sentence_scores(result.model, dataset.X))
     accuracy = float(np.mean(predictions == truth))
     elapsed = time.monotonic() - started
     report(
@@ -164,18 +163,18 @@ def test_criterion_05_threshold_and_aggregation_contracts():
     def logit(p):
         return math.log(p / (1.0 - p))
 
-    half_label, half_score = predict_sentence(
+    half_label, half_score = label_and_score(
         MilModel(theta=np.zeros(2), dim=1, config=config), np.array([3.0])
     )
     threshold_ok = half_score == 0.5 and half_label == 1
 
-    majority = predict_document(
+    majority = vote_of(
         model, np.array([[logit(p)] for p in (0.9, 0.8, 0.7, 0.2, 0.1)])
     )
     majority_ok = majority == (1, 3, 2)
 
-    tie_high = predict_document(model, np.array([[logit(p)] for p in (0.9, 0.9, 0.4, 0.4)]))
-    tie_low = predict_document(model, np.array([[logit(p)] for p in (0.6, 0.6, 0.1, 0.1)]))
+    tie_high = vote_of(model, np.array([[logit(p)] for p in (0.9, 0.9, 0.4, 0.4)]))
+    tie_low = vote_of(model, np.array([[logit(p)] for p in (0.6, 0.6, 0.1, 0.1)]))
     tie_ok = tie_high[0] == 1 and tie_low[0] == 0
 
     realizations = {1: (0.9, 0.6), 0: (0.4, 0.1)}
@@ -187,7 +186,7 @@ def test_criterion_05_threshold_and_aggregation_contracts():
                 probs = [realizations[lab][variant] for lab in pattern]
                 group = np.array([[logit(p)] for p in probs])
                 scores = [scalar_sigmoid(row[0]) for row in group]
-                if predict_document(model, group) != naive_document_vote(scores):
+                if vote_of(model, group) != naive_document_vote(scores):
                     exhaustive_ok = False
                 checked += 1
     report(
@@ -358,7 +357,7 @@ def test_criterion_10_directional_comparison_on_external_corpus():
             if sentence.predicted_label is None:
                 continue
             gold.append(sentence.predicted_label)
-            mil_pred.append(predict_sentence(mil_model, sentence.embedding)[0])
+            mil_pred.append(label_and_score(mil_model, sentence.embedding)[0])
             bow_pred.append(bow_predict(bow_model, tokenize(sentence.text))[0])
     mil_accuracy = score_predictions(mil_pred, gold).accuracy
     bow_accuracy = score_predictions(bow_pred, gold).accuracy

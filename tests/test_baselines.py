@@ -14,10 +14,9 @@ from milsent.baselines import (
     fit_logistic_gd,
     load_demo_dictionary,
     load_dictionary,
-    logistic_loss,
     train_bow_logreg,
 )
-from reference import central_difference_gradient, relative_gradient_error
+from reference import central_difference_gradient, logistic_loss, relative_gradient_error
 
 DICT = PolarityDictionary(
     name="toy",

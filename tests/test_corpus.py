@@ -121,6 +121,15 @@ class TestInvariants:
         doc = make_doc(label=0, abnormal_return=-0.046)
         assert doc.label == 0
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_abnormal_return_names_the_document(self, value):
+        # caught when the document is built, not halfway through a save
+        message = f"document dX: abnormal return {value} is not finite"
+        with pytest.raises(CorpusError, match=re.escape(message)):
+            make_doc("dX", abnormal_return=value)
+        with pytest.raises(CorpusError, match=re.escape(message)):
+            replace(make_doc("dX"), abnormal_return=value)
+
     def test_score_requires_label_and_consistency(self):
         with pytest.raises(CorpusError):
             SentenceInstance(text="x", score=0.7)

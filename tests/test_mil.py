@@ -21,14 +21,13 @@ from milsent.mil import (
     load_model,
     loss,
     median_heuristic_gamma,
-    predict_document,
-    predict_sentence,
     save_model,
+    sentence_labels,
     sentence_scores,
     sigmoid,
-    stacked_sentence_scores,
     train,
 )
+from conftest import label_and_score, vote_of
 from reference import (
     central_difference_gradient,
     naive_document_vote,
@@ -81,7 +80,7 @@ def kernel_entry(x, y, gamma=1.0):
 
 
 def score_of(model, x):
-    return predict_sentence(model, x)[1]
+    return label_and_score(model, x)[1]
 
 
 class TestRbfSimilarity:
@@ -126,9 +125,9 @@ class TestScores:
 
     def test_dimension_check(self):
         with pytest.raises(ValueError):
-            predict_sentence(model_of(np.zeros(3), dim=2), np.zeros(5))
+            label_and_score(model_of(np.zeros(3), dim=2), np.zeros(5))
         with pytest.raises(ValueError):
-            predict_sentence(model_of(np.zeros(3), dim=2), np.zeros((1, 2)))
+            sentence_scores(model_of(np.zeros(3), dim=2), np.zeros(2))
 
     def test_bias_component_shifts_score(self):
         with_bias = model_of([0.0, 1.0], dim=1)
@@ -146,7 +145,7 @@ class TestScores:
         with pytest.raises(ValueError, match="row 1"):
             sentence_scores(model, np.array([[0.5, 0.1], huge]))
         with pytest.raises(ValueError, match="row 0"):
-            predict_sentence(model, np.array(huge))
+            label_and_score(model, np.array(huge))
         with pytest.raises(ValueError, match="row 0"):
             sentence_scores(model_of([1.0, 1.0], dim=2, config=NO_BIAS), np.array([huge]))
 
@@ -159,23 +158,24 @@ class TestStackedScores:
                          config=TrainConfig(use_bias=use_bias))
         for m, k in ((1, 1), (7, 3), (40, 12), (300, 2)):
             stack = rng.standard_normal((m, k, 32)) * 10.0 ** rng.uniform(-3, 3, (m, k, 1))
-            scores = stacked_sentence_scores(model, stack)
+            scores = sentence_scores(model, stack)
             assert scores.shape == (m, k)
             for group, row in zip(stack, scores):
                 assert np.array_equal(row, sentence_scores(model, group))
 
     def test_shape_checks(self):
         model = model_of(np.zeros(3), dim=2)
-        for bad in (np.zeros((2, 2)), np.zeros((2, 0, 2)), np.zeros((2, 3, 3))):
-            with pytest.raises(ValueError, match="stack of non-empty instance matrices"):
-                stacked_sentence_scores(model, bad)
+        for bad in (np.zeros(2), np.zeros((0, 2)), np.zeros((2, 3)), np.zeros((2, 0, 2)),
+                    np.zeros((2, 3, 3)), np.zeros((1, 2, 3, 2))):
+            with pytest.raises(ValueError, match="a stack of them, with 2 columns"):
+                sentence_scores(model, bad)
 
     def test_overflow_locates_group_and_row(self):
         model = model_of([1.0, 1.0], dim=2, config=NO_BIAS)
         stack = np.zeros((4, 3, 2))
         stack[2, 1] = stack[3, 0] = 1e308
         with pytest.raises(mil.ScoreError, match="^row 1: linear score inf is not finite$") as exc:
-            stacked_sentence_scores(model, stack)
+            sentence_scores(model, stack)
         assert exc.value.index == (2, 1)
         with pytest.raises(mil.ScoreError) as exc:
             sentence_scores(model, stack[3])
@@ -218,7 +218,7 @@ class TestLoss:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            loss(model_of(np.zeros(9), dim=8), [], 1.0, 1.0)
+            loss(model_of(np.zeros(9), dim=8), MilDataset(groups=(), dim=8), 1.0, 1.0)
 
     def test_no_bias_matches_naive(self):
         rng = np.random.default_rng(8)
@@ -375,6 +375,35 @@ def test_loss_memory_is_not_quadratic():
     assert peak < 64 * 2**20
 
 
+@pytest.fixture(scope="module")
+def wide_dataset():
+    # 2 000 instances of 500 dimensions: X is 8 MB
+    return generate_synthetic(200, 10, 500, 2.0, 0.1, seed=0)[0]
+
+
+def test_groups_are_views_of_the_stacked_matrix(wide_dataset):
+    assert all(np.shares_memory(matrix, wide_dataset.X) for matrix, _ in wide_dataset.groups)
+    np.testing.assert_array_equal(wide_dataset.sizes, np.full(200, 10))
+    assert wide_dataset.n_instances == len(wide_dataset.X) == 2000
+
+
+@pytest.mark.parametrize("call", ["train", "loss"])
+def test_peak_memory_holds_no_copy_of_the_instances(wide_dataset, call):
+    # the kernel's -2 X^T is one transient copy of X; a second copy of the
+    # instance matrix would take the peak past 2 x X.nbytes
+    model = model_of(np.random.default_rng(0).standard_normal(501) * 0.01, dim=500)
+    tracemalloc.start()
+    try:
+        if call == "train":
+            train(wide_dataset, TrainConfig(epochs=1))
+        else:
+            loss(model, wide_dataset, 10.0, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * wide_dataset.X.nbytes
+
+
 class TestTrain:
     def test_loss_decreases_on_synthetic_data(self):
         dataset, _ = generate_synthetic(60, 5, 8, 3.0, 0.0, seed=5)
@@ -453,41 +482,40 @@ class TestRecovery:
     def test_sentence_recovery_from_group_labels(self):
         dataset, truth = generate_synthetic(200, 5, 16, 3.0, 0.1, seed=42)
         result = train(dataset, TrainConfig(seed=7))
-        X = np.vstack([matrix for matrix, _ in dataset.groups])
-        predictions = np.array([predict_sentence(result.model, x)[0] for x in X])
+        predictions = sentence_labels(sentence_scores(result.model, dataset.X))
         assert float(np.mean(predictions == truth)) >= 0.95
 
 
 class TestPrediction:
     def test_half_score_is_positive(self):
         model = model_of(np.zeros(3), dim=2)
-        label, score = predict_sentence(model, np.array([5.0, -3.0]))
+        label, score = label_and_score(model, np.array([5.0, -3.0]))
         assert score == 0.5
         assert label == 1
 
     def test_just_below_half_is_negative(self):
         model = model_of([1.0, 0.0], dim=1)
         x = np.array([scalar_logit(0.4999)])
-        label, score = predict_sentence(model, x)
+        label, score = label_and_score(model, x)
         assert label == 0 and score < 0.5
 
     def test_majority_three_two(self):
         model = model_of([1.0, 0.0], dim=1)
         group = np.array([[scalar_logit(p)] for p in (0.9, 0.8, 0.7, 0.2, 0.1)])
-        label, pos, neg = predict_document(model, group)
+        label, pos, neg = vote_of(model, group)
         assert (label, pos, neg) == (1, 3, 2)
 
     def test_tie_resolved_by_mean_score(self):
         model = model_of([1.0, 0.0], dim=1)
         high = np.array([[scalar_logit(p)] for p in (0.9, 0.9, 0.4, 0.4)])
         low = np.array([[scalar_logit(p)] for p in (0.6, 0.6, 0.1, 0.1)])
-        assert predict_document(model, high)[0] == 1
-        assert predict_document(model, low)[0] == 0
+        assert vote_of(model, high)[0] == 1
+        assert vote_of(model, low)[0] == 0
 
     def test_all_negative(self):
         model = model_of([1.0, 0.0], dim=1)
         group = np.array([[scalar_logit(p)] for p in (0.2, 0.3, 0.1)])
-        assert predict_document(model, group) == (0, 0, 3)
+        assert vote_of(model, group) == (0, 0, 3)
 
     def test_vote_tie_without_scores_is_undecided(self):
         assert document_vote([1, 0], None) == (None, 1, 1)
@@ -503,11 +531,11 @@ class TestPrediction:
                     probs = [realizations[lab][variant] for lab in pattern]
                     group = np.array([[scalar_logit(p)] for p in probs])
                     scores = [scalar_sigmoid(row[0]) for row in group]
-                    assert predict_document(model, group) == naive_document_vote(scores)
+                    assert vote_of(model, group) == naive_document_vote(scores)
 
     def test_empty_group(self):
         with pytest.raises(ValueError):
-            predict_document(model_of(np.zeros(2), dim=1), np.zeros((0, 1)))
+            sentence_scores(model_of(np.zeros(2), dim=1), np.zeros((0, 1)))
 
 
 class TestGridSearch:
@@ -649,7 +677,7 @@ def test_document_accuracy_matches_manual_count():
     dataset, _ = generate_synthetic(25, 5, 8, 3.0, 0.0, seed=12)
     result = train(dataset, TrainConfig(epochs=10, seed=3))
     manual = np.mean([
-        predict_document(result.model, matrix)[0] == label
+        vote_of(result.model, matrix)[0] == label
         for matrix, label in dataset.groups
     ])
     assert document_accuracy(result.model, dataset) == pytest.approx(float(manual))
