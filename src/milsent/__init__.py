@@ -12,16 +12,14 @@ __version__ = "0.1.0"
 
 from milsent.corpus import (
     Document,
-    MilDataset,
     NEGATIVE,
     POSITIVE,
     SentenceInstance,
     Sentences,
     load_corpus,
     save_corpus,
-    to_mil_dataset,
 )
-from milsent.mil import MilModel, TrainConfig, train
+from milsent.mil import MilDataset, MilModel, TrainConfig, to_mil_dataset, train
 
 __all__ = [
     "Document",

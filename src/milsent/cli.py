@@ -14,7 +14,7 @@ import html as html_mod
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from itertools import compress
 from pathlib import Path
@@ -34,7 +34,6 @@ from milsent.corpus import (
     Sentences,
     load_corpus,
     save_corpus,
-    to_mil_dataset,
     with_predictions,
 )
 
@@ -160,13 +159,6 @@ def _train_config(args) -> mil.TrainConfig:
     return config
 
 
-def _dataclass_dict(obj) -> dict:
-    return {
-        name: list(value) if isinstance(value, tuple) else value
-        for name, value in ((f, getattr(obj, f)) for f in obj.__dataclass_fields__)
-    }
-
-
 # ---------------------------------------------------------------- preprocess
 
 
@@ -207,7 +199,7 @@ def cmd_preprocess(args) -> int:
 
     manifest = _manifest(
         "preprocess", args,
-        config=_dataclass_dict(pconfig),
+        config=asdict(pconfig),
         inputs={"corpus": args.corpus_in},
         outputs={"corpus": args.corpus_out},
     )
@@ -260,7 +252,7 @@ def cmd_label(args) -> int:
 
     manifest = _manifest(
         "label", args,
-        config=_dataclass_dict(config),
+        config=asdict(config),
         inputs={"corpus": args.corpus_in, "prices_dir": args.prices_dir,
                 "index": args.index_file},
         outputs={"corpus": args.corpus_out},
@@ -339,7 +331,7 @@ def cmd_train(args) -> int:
     config = _train_config(args)
     docs = load_corpus(args.corpus_in)
     store = _build_store(args)
-    dataset = to_mil_dataset(embed.embed_corpus(docs, store))
+    dataset = mil.to_mil_dataset(docs, embed.embed_matrix(docs, store))
     zero_vectors = _zero_vectors(dataset.X)
     if args.gamma == "median":
         config = replace(config, kernel_gamma=mil.median_heuristic_gamma(dataset, seed=args.seed))
@@ -380,7 +372,7 @@ def cmd_train(args) -> int:
 
     manifest = _manifest(
         "train", args,
-        config=_dataclass_dict(config),
+        config=asdict(config),
         inputs={"corpus": args.corpus_in, "embeddings": args.embeddings},
         outputs={"model": args.model_out},
     )

@@ -1,4 +1,4 @@
-"""Document/sentence data model, corpus file I/O, and the MIL dataset.
+"""Document/sentence data model and corpus file I/O.
 
 A corpus file is JSON Lines: one document object per line, UTF-8. Required
 fields: ``id``, ``ticker``, ``published_at`` (ISO-8601 date), ``text``.
@@ -9,19 +9,15 @@ to ``sentences``: ``sentence_tokens``, ``sentence_labels``,
 
 A document keeps its sentences as columns, not as one object per sentence:
 `Sentences` holds a tuple each of texts, token tuples, labels and scores,
-and the embeddings as one n x d matrix (or None). It checks the columns
+exactly the four sentence arrays of a corpus record. It checks the columns
 once, when it is built. Indexing or iterating it yields `SentenceInstance`
 views, built on demand: each costs one `SentenceInstance` construction,
 checks included, and nothing is cached. Reading and writing a corpus,
-`with_predictions`, `to_mil_dataset`, embedding, prediction and evaluation
-read and write the columns and build no view; code that walks
-`doc.sentences` one sentence at a time (rendering, preprocessing input,
-user scripts) gets views.
-
-`MilDataset` is the input of multi-instance training: the labelled groups
-stacked once, when it is built, into one n x d matrix `X` with one label
-and one size per group. Training, the loss and its gradient read that
-layout directly; each entry of its `groups` is a view of `X`.
+`with_predictions`, embedding, prediction and evaluation read and write
+the columns and build no view; code that walks `doc.sentences` one
+sentence at a time (rendering, preprocessing input, user scripts) gets
+views. Sentence vectors are not part of a document: `embed.embed_matrix`
+returns them as one matrix, one row per sentence in corpus order.
 """
 
 from __future__ import annotations
@@ -29,13 +25,11 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import date
-from itertools import chain, repeat
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Sequence
-
-import numpy as np
 
 POSITIVE = 1
 NEGATIVE = 0
@@ -67,25 +61,25 @@ def utf8_lines(handle, path, error: type[Exception], unit: str = "line"):
         raise error(f"{path}: {unit} {line_no}: not valid UTF-8 ({exc.reason})") from exc
 
 
+# `abs(score) < inf`: false for NaN and infinities, true for an int too
+# large for a float, where `math.isfinite` raises
+_BELOW_INF = math.inf.__gt__
+
+
 def _check_prediction(label, score) -> None:
     """The rule for one sentence's label and score: a label is 0, 1 or None
     and may stand alone (gold annotations, dictionary output); a score never
-    does, and always agrees with its label."""
+    does, is finite, and always agrees with its label."""
     if label not in (POSITIVE, NEGATIVE, None):
         raise CorpusError(f"predicted_label must be 0, 1 or None, got {label!r}")
     if score is not None:
         if label is None:
             raise CorpusError("score requires a predicted_label")
+        if not _BELOW_INF(abs(score)):
+            raise CorpusError(f"score {score} is not finite")
         expected = POSITIVE if score >= 0.5 else NEGATIVE
         if label != expected:
             raise CorpusError(f"predicted_label {label} inconsistent with score {score}")
-
-
-def _vector(embedding) -> np.ndarray:
-    emb = np.asarray(embedding, dtype=float)
-    if emb.ndim != 1:
-        raise CorpusError("sentence embedding must be a 1-d vector")
-    return emb
 
 
 @dataclass(frozen=True)
@@ -94,20 +88,17 @@ class SentenceInstance:
 
     text: str
     tokens: tuple[str, ...] = ()
-    embedding: np.ndarray | None = None
     predicted_label: int | None = None
     score: float | None = None
 
     def __post_init__(self):
-        if self.embedding is not None:
-            object.__setattr__(self, "embedding", _vector(self.embedding))
         object.__setattr__(self, "tokens", tuple(self.tokens))
         _check_prediction(self.predicted_label, self.score)
 
 
 _LABELS = {POSITIVE, NEGATIVE, None}
 _AT_LEAST_HALF = (0.5).__le__
-_SENTENCE_FIELDS = attrgetter("text", "tokens", "embedding", "predicted_label", "score")
+_SENTENCE_FIELDS = attrgetter("text", "tokens", "predicted_label", "score")
 
 
 class Sentences(SequenceABC):
@@ -115,17 +106,14 @@ class Sentences(SequenceABC):
 
     `texts`, `tokens` (one tuple of strings per sentence), `labels` and
     `scores` are tuples; `labels` and `scores` default to all None, `tokens`
-    to all empty. `embeddings` is None, an n x d matrix, or a tuple of 1-d
-    vectors and Nones (the form `of` builds when the sentences it is given
-    carry embeddings). The columns are checked once, here, and cannot be
+    to all empty. The columns are checked once, here, and cannot be
     reassigned; indexing or iterating builds `SentenceInstance` views, and a
     slice is a `Sentences`.
     """
 
-    __slots__ = ("texts", "tokens", "labels", "scores", "embeddings")
+    __slots__ = ("texts", "tokens", "labels", "scores")
 
-    def __init__(self, texts: Iterable[str] = (), tokens=None, labels=None, scores=None,
-                 embeddings=None):
+    def __init__(self, texts: Iterable[str] = (), tokens=None, labels=None, scores=None):
         texts = tuple(texts)
         n = len(texts)
         tokens = ((),) * n if tokens is None else tuple(tokens)
@@ -133,19 +121,13 @@ class Sentences(SequenceABC):
         scores = (None,) * n if scores is None else tuple(scores)
         if not len(tokens) == len(labels) == len(scores) == n:
             raise CorpusError("sentence columns have mismatched lengths")
-        if isinstance(embeddings, np.ndarray):
-            embeddings = np.asarray(embeddings, dtype=float)
-            if embeddings.ndim != 2 or len(embeddings) != n:
-                raise CorpusError(f"embeddings must be a {n} x d matrix, "
-                                  f"got shape {embeddings.shape}")
-        elif embeddings is not None:
-            embeddings = tuple(None if e is None else _vector(e) for e in embeddings)
-            if len(embeddings) != n:
-                raise CorpusError("sentence columns have mismatched lengths")
         # whole-column tests first; the per-sentence rule only finds the
-        # error, or passes the Nones that the fast test cannot read
+        # error, or passes the Nones that the fast test cannot read. A NaN
+        # score agrees with label 0 (NaN >= 0.5 is false), so finiteness is
+        # a test of its own.
         if not (_LABELS.issuperset(labels) and (
-                scores.count(None) == n or tuple(map(_AT_LEAST_HALF, scores)) == labels)):
+                scores.count(None) == n or (tuple(map(_AT_LEAST_HALF, scores)) == labels
+                                            and all(map(_BELOW_INF, map(abs, scores)))))):
             for label, score in zip(labels, scores):
                 _check_prediction(label, score)
         _set = object.__setattr__
@@ -153,7 +135,6 @@ class Sentences(SequenceABC):
         _set(self, "tokens", tokens)
         _set(self, "labels", labels)
         _set(self, "scores", scores)
-        _set(self, "embeddings", embeddings)
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"Sentences is immutable; cannot set {name!r}")
@@ -163,29 +144,18 @@ class Sentences(SequenceABC):
     @classmethod
     def of(cls, sentences: Iterable[SentenceInstance]) -> Sentences:
         """The columns of `SentenceInstance`s."""
-        columns = list(zip(*map(_SENTENCE_FIELDS, sentences))) or [()] * 5
-        texts, tokens, embeddings, labels, scores = columns
-        if all(e is None for e in embeddings):
-            embeddings = None
-        return cls(texts, tokens, labels, scores, embeddings)
+        return cls(*(list(zip(*map(_SENTENCE_FIELDS, sentences))) or [()] * 4))
 
     def __len__(self) -> int:
         return len(self.texts)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            embeddings = None if self.embeddings is None else self.embeddings[index]
-            return Sentences(self.texts[index], self.tokens[index], self.labels[index],
-                             self.scores[index], embeddings)
-        embedding = None if self.embeddings is None else self.embeddings[index]
-        return SentenceInstance(self.texts[index], self.tokens[index], embedding,
-                                self.labels[index], self.scores[index])
+        kind = Sentences if isinstance(index, slice) else SentenceInstance
+        return kind(self.texts[index], self.tokens[index], self.labels[index],
+                    self.scores[index])
 
     def __iter__(self):
-        embeddings = repeat(None) if self.embeddings is None else self.embeddings
-        for text, tokens, embedding, label, score in zip(
-                self.texts, self.tokens, embeddings, self.labels, self.scores):
-            yield SentenceInstance(text, tokens, embedding, label, score)
+        return map(SentenceInstance, self.texts, self.tokens, self.labels, self.scores)
 
     def __eq__(self, other):
         """Equal to a `Sentences` or a tuple with equal views in order."""
@@ -229,52 +199,6 @@ class Document:
                     f"document {self.id}: label contradicts abnormal return "
                     f"{self.abnormal_return}"
                 )
-
-
-@dataclass(frozen=True)
-class MilDataset:
-    """Groups of instance vectors with binary group labels, stacked once.
-
-    `X` holds every instance, n x dim, group after group; `labels` and
-    `sizes` hold one entry per group. Each entry of `groups` is (a view of
-    X, label): the given matrices are copied into X and not kept.
-    """
-
-    groups: tuple[tuple[np.ndarray, int], ...]
-    dim: int
-    X: np.ndarray = field(init=False, repr=False, compare=False)
-    labels: np.ndarray = field(init=False, repr=False, compare=False)
-    sizes: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        matrices, labels = [], []
-        for matrix, label in self.groups:
-            matrix = np.asarray(matrix, dtype=float)
-            if matrix.ndim != 2 or matrix.shape[0] == 0:
-                raise CorpusError("every group must be a non-empty instance matrix")
-            if matrix.shape[1] != self.dim:
-                raise CorpusError(
-                    f"group dimension {matrix.shape[1]} != dataset dimension {self.dim}"
-                )
-            if label not in (POSITIVE, NEGATIVE):
-                raise CorpusError("group labels must be 0 or 1")
-            matrices.append(matrix)
-            labels.append(int(label))
-        X = np.concatenate(matrices) if matrices else np.empty((0, self.dim))
-        sizes = np.array([len(matrix) for matrix in matrices], dtype=np.intp)
-        _set = object.__setattr__
-        _set(self, "groups", tuple(zip(np.split(X, np.cumsum(sizes)[:-1]), labels)))
-        _set(self, "X", X)
-        _set(self, "labels", np.array(labels, dtype=np.intp))
-        _set(self, "sizes", sizes)
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
-
-    @property
-    def n_instances(self) -> int:
-        return len(self.X)
 
 
 def _is_number(value) -> bool:
@@ -440,52 +364,6 @@ def save_corpus(docs: Iterable[Document], path) -> None:
             handle.write("\n")
 
 
-def _embedding_rows(doc: Document, dim: int | None) -> np.ndarray:
-    """The embedding matrix of a document whose sentences carry their vectors
-    one by one; a missing vector or a width other than `dim` (the first
-    vector's, when None) names the document."""
-    rows = doc.sentences.embeddings or (None,) * len(doc.sentences)
-    for idx, row in enumerate(rows):
-        if row is None:
-            raise CorpusError(f"document {doc.id}: sentence {idx} has no embedding")
-        if dim is None:
-            dim = len(row)
-        elif len(row) != dim:
-            raise CorpusError(
-                f"document {doc.id}: embedding dimension {len(row)} != corpus dimension {dim}"
-            )
-    return np.stack(rows)
-
-
-def to_mil_dataset(corpus: Sequence[Document]) -> MilDataset:
-    """One group per labeled document, in corpus order, sentences in order.
-
-    Every document must carry a label and every sentence an embedding of the
-    corpus-wide dimension. The dataset stacks the documents' embedding
-    matrices into its own `X` once; it keeps no reference to them, so they
-    are freed with the documents.
-    """
-    groups = []
-    dim: int | None = None
-    for doc in corpus:
-        if doc.label is None:
-            raise CorpusError(f"document {doc.id} has no label")
-        if not doc.sentences:
-            raise CorpusError(f"document {doc.id} has no sentences")
-        matrix = doc.sentences.embeddings
-        if not isinstance(matrix, np.ndarray):
-            matrix = _embedding_rows(doc, dim)
-        if dim is None:
-            dim = matrix.shape[1]
-        elif matrix.shape[1] != dim:
-            raise CorpusError(
-                f"document {doc.id}: embedding dimension {matrix.shape[1]} "
-                f"!= corpus dimension {dim}"
-            )
-        groups.append((matrix, doc.label))
-    return MilDataset(groups=tuple(groups), dim=0 if dim is None else dim)
-
-
 def with_predictions(
     doc: Document, labels: Sequence[int], scores: Sequence[float]
 ) -> Document:
@@ -494,5 +372,5 @@ def with_predictions(
     if len(labels) != len(sentences) or len(scores) != len(sentences):
         raise CorpusError(f"document {doc.id}: prediction arrays mismatch sentences")
     predicted = Sentences(sentences.texts, sentences.tokens, map(int, labels),
-                          map(float, scores), sentences.embeddings)
+                          map(float, scores))
     return replace(doc, sentences=predicted)

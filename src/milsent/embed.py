@@ -6,26 +6,28 @@ needs no external model (for tests and offline runs). Averaging is
 order-insensitive, a documented difference from learned sentence encoders.
 
 `embed_matrix` is the one embedding path: one row per sentence of a corpus,
-in corpus order. The two averaging providers index the corpus's distinct
-known tokens in one table (word vectors, or hash vectors computed once per
-token per call), group the sentences by their count k of known tokens and
-average each group's gathered k-row blocks, at most `GATHER_ROWS` token
-rows at a time. A sentence's tokens are summed in sorted order with the same
-numpy reduction as averaging that sentence alone, so its vector depends
-neither on token order nor on the rest of the corpus. A sentence with no
-tokens, or with none in the vocabulary, gets the zero vector.
+in corpus order. Documents do not carry their vectors: `train` hands the
+matrix to `mil.to_mil_dataset` and `predict` scores its rows. The two
+averaging providers index the corpus's distinct known tokens in one table
+(word vectors, or hash vectors computed once per token per call), group the
+sentences by their count k of known tokens and average each group's
+gathered k-row blocks, at most `GATHER_ROWS` token rows at a time. A
+sentence's tokens are summed in sorted order with the same numpy reduction
+as averaging that sentence alone, so its vector depends neither on token
+order nor on the rest of the corpus. A sentence with no tokens, or with
+none in the vocabulary, gets the zero vector.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
 
-from milsent.corpus import Document, Sentences, utf8_lines
+from milsent.corpus import Document, utf8_lines
 from milsent.preprocess import tokenize
 
 PRECOMPUTED_SENTENCE = "precomputed-sentence"
@@ -240,17 +242,3 @@ def embed_matrix(docs: Sequence[Document], store: EmbeddingStore) -> np.ndarray:
         tokens or tokenize(text)
         for doc in docs for text, tokens in zip(doc.sentences.texts, doc.sentences.tokens)
     ], store)
-
-
-def embed_corpus(docs: Sequence[Document], store: EmbeddingStore) -> list[Document]:
-    """`docs` with their rows of `embed_matrix` attached as each document's
-    embeddings column, a slice of the one matrix."""
-    X = embed_matrix(docs, store)
-    out, lo = [], 0
-    for doc in docs:
-        columns = doc.sentences
-        hi = lo + len(columns)
-        out.append(replace(doc, sentences=Sentences(
-            columns.texts, columns.tokens, columns.labels, columns.scores, X[lo:hi])))
-        lo = hi
-    return out

@@ -1,21 +1,24 @@
 """Multi-instance training of a sentence-level logistic classifier.
 
 Groups of sentence vectors carry one binary label each. A `MilDataset`
-holds them stacked once into one matrix with per-group labels and sizes;
-the loss, its gradient and training read that layout directly, and a
-minibatch gathers its groups' rows out of the stacked matrix. The training
-loss couples two pressures: an RBF-similarity weighted penalty on score
-differences between similar instances, averaged over all ordered instance
-pairs, and a squared error between each group's mean instance score and its
-label, weighted by `lam`. Minimized by SGD with classical momentum over
-group minibatches; the pair/group normalizers are re-read as batch counts
-on every step. The pairwise RBF kernel is streamed over blocks of rows and
-never held whole, so a loss or gradient needs O(n * KERNEL_BLOCK_ROWS)
-memory for n instances. The kernel is symmetric, so each unordered instance
-pair is evaluated once, about n^2 / 2 kernel entries, and the time stays
-O(n^2). One kernel sweep serves any number of score columns: training keeps
-the scores after every epoch and traces the exact full-data loss of all
-epochs in a single sweep at the end, not one sweep per epoch.
+holds them stacked once, when it is built, into one n x d matrix `X` with
+one label and one size per group, and each entry of its `groups` is a view
+of `X`. `to_mil_dataset` builds it from a corpus and the corpus's
+`embed.embed_matrix` rows, one group per document. The loss, its gradient
+and training read that layout directly, and a minibatch gathers its groups'
+rows out of the stacked matrix. The training loss couples two pressures: an
+RBF-similarity weighted penalty on score differences between similar
+instances, averaged over all ordered instance pairs, and a squared error
+between each group's mean instance score and its label, weighted by `lam`.
+Minimized by SGD with classical momentum over group minibatches; the
+pair/group normalizers are re-read as batch counts on every step. The
+pairwise RBF kernel is streamed over blocks of rows and never held whole,
+so a loss or gradient needs O(n * KERNEL_BLOCK_ROWS) memory for n
+instances. The kernel is symmetric, so each unordered instance pair is
+evaluated once, about n^2 / 2 kernel entries, and the time stays O(n^2).
+One kernel sweep serves any number of score columns: training keeps the
+scores after every epoch and traces the exact full-data loss of all epochs
+in a single sweep at the end, not one sweep per epoch.
 
 Prediction has one path: `sentence_scores` scores an instance matrix or a
 stack of equal-sized groups, `sentence_labels` applies the 0.5 rule and
@@ -28,11 +31,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
-from milsent.corpus import MilDataset, NEGATIVE, POSITIVE
+from milsent.corpus import CorpusError, Document, NEGATIVE, POSITIVE
 
 MODEL_FORMAT = "milsent-model"
 MODEL_VERSION = 1
@@ -103,6 +107,72 @@ class MilModel:
         if not np.all(np.isfinite(theta)):
             raise TrainingError("theta contains non-finite values")
         object.__setattr__(self, "theta", theta)
+
+
+@dataclass(frozen=True)
+class MilDataset:
+    """Groups of instance vectors with binary group labels, stacked once.
+
+    `X` holds every instance, n x dim, group after group; `labels` and
+    `sizes` hold one entry per group. Each entry of `groups` is (a view of
+    X, label): the given matrices are copied into X and not kept.
+    """
+
+    groups: tuple[tuple[np.ndarray, int], ...]
+    dim: int
+    X: np.ndarray = field(init=False, repr=False, compare=False)
+    labels: np.ndarray = field(init=False, repr=False, compare=False)
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        matrices, labels = [], []
+        for matrix, label in self.groups:
+            matrix = np.asarray(matrix, dtype=float)
+            if matrix.ndim != 2 or matrix.shape[0] == 0:
+                raise CorpusError("every group must be a non-empty instance matrix")
+            if matrix.shape[1] != self.dim:
+                raise CorpusError(
+                    f"group dimension {matrix.shape[1]} != dataset dimension {self.dim}"
+                )
+            if label not in (POSITIVE, NEGATIVE):
+                raise CorpusError("group labels must be 0 or 1")
+            matrices.append(matrix)
+            labels.append(int(label))
+        X = np.concatenate(matrices) if matrices else np.empty((0, self.dim))
+        sizes = np.array([len(matrix) for matrix in matrices], dtype=np.intp)
+        _set = object.__setattr__
+        _set(self, "groups", tuple(zip(np.split(X, np.cumsum(sizes)[:-1]), labels)))
+        _set(self, "X", X)
+        _set(self, "labels", np.array(labels, dtype=np.intp))
+        _set(self, "sizes", sizes)
+
+    @property
+    def n_groups(self) -> int:
+        return len(self.groups)
+
+    @property
+    def n_instances(self) -> int:
+        return len(self.X)
+
+
+def to_mil_dataset(corpus: Sequence[Document], X: np.ndarray) -> MilDataset:
+    """One group per document, in corpus order: the document's rows of X and
+    its label. X holds one row per sentence of the corpus, in corpus order,
+    as `embed.embed_matrix` returns it. Every document must carry a label
+    and at least one sentence. The dataset copies the rows into its own `X`
+    once and keeps no reference to the given matrix."""
+    X = np.asarray(X, dtype=float)
+    sizes = [len(doc.sentences) for doc in corpus]
+    if X.ndim != 2 or len(X) != sum(sizes):
+        raise CorpusError(f"the corpus has {sum(sizes)} sentences but the embedding "
+                          f"matrix has shape {X.shape}")
+    for doc in corpus:
+        if doc.label is None:
+            raise CorpusError(f"document {doc.id} has no label")
+        if not doc.sentences:
+            raise CorpusError(f"document {doc.id} has no sentences")
+    groups = zip(np.split(X, np.cumsum(sizes)[:-1]), (doc.label for doc in corpus))
+    return MilDataset(groups=tuple(groups), dim=X.shape[1])
 
 
 def sigmoid(z):
@@ -380,7 +450,14 @@ def median_heuristic_gamma(
     keep = i != j
     if not np.any(keep):
         return 1.0
-    d2 = np.sum((X[i[keep]] - X[j[keep]]) ** 2, axis=1)
+    i, j = i[keep], j[keep]
+    # the pairs' differences in blocks of rows, so the transient stays
+    # O(KERNEL_BLOCK_ROWS * d) whatever max_pairs is; each row's sum is the
+    # same reduction as over all pairs at once
+    d2 = np.empty(len(i))
+    for lo in range(0, len(i), KERNEL_BLOCK_ROWS):
+        hi = lo + KERNEL_BLOCK_ROWS
+        d2[lo:hi] = np.sum((X[i[lo:hi]] - X[j[lo:hi]]) ** 2, axis=1)
     med = float(np.median(d2))
     return 1.0 / med if med > 0 else 1.0
 
@@ -426,22 +503,12 @@ def generate_synthetic(
 
 def save_model(model: MilModel, path) -> None:
     """Versioned JSON record; floats round-trip bit-exactly."""
-    config = model.config
     record = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "dim": model.dim,
         "theta": [float(v) for v in model.theta],
-        "config": {
-            "lam": config.lam,
-            "learning_rate": config.learning_rate,
-            "momentum": config.momentum,
-            "epochs": config.epochs,
-            "groups_per_batch": config.groups_per_batch,
-            "kernel_gamma": config.kernel_gamma,
-            "seed": config.seed,
-            "use_bias": config.use_bias,
-        },
+        "config": asdict(model.config),
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(record, handle, sort_keys=True, separators=(",", ":"))

@@ -26,11 +26,10 @@ def make_doc(doc_id="d1", ticker="AAA", when=date(2005, 5, 12), text="some text"
     )
 
 
-def make_sentence(text="a sentence", tokens=(), embedding=None, label=None, score=None):
+def make_sentence(text="a sentence", tokens=(), label=None, score=None):
     return SentenceInstance(
         text=text,
         tokens=tuple(tokens),
-        embedding=embedding,
         predicted_label=label,
         score=score,
     )

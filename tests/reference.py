@@ -274,44 +274,48 @@ def _naive_average(tokens, vectors, dim):
     return np.mean(known, axis=0)
 
 
-def naive_embed_corpus(docs, store):
-    """`embed_corpus` one sentence at a time: each sentence's known token
-    vectors stacked and averaged on their own, in sorted token order."""
+def naive_embed_matrix(docs, store):
+    """`embed_matrix` one sentence at a time: each sentence's known token
+    vectors stacked and averaged on their own, in sorted token order; the
+    rows one per sentence, in corpus order."""
     if store.provider == PRECOMPUTED_SENTENCE:
-        return [
-            replace(doc, sentences=tuple(
-                replace(s, embedding=store.vectors[sentence_key(doc.id, idx)])
-                for idx, s in enumerate(doc.sentences)
-            ))
-            for doc in docs
-        ]
-    tokens = [[s.tokens or tuple(tokenize(s.text)) for s in doc.sentences] for doc in docs]
+        rows = [store.vectors[sentence_key(doc.id, idx)]
+                for doc in docs for idx in range(len(doc.sentences))]
+        return np.array(rows).reshape(len(rows), store.dim)
+    tokens = [s.tokens or tuple(tokenize(s.text)) for doc in docs for s in doc.sentences]
     vectors = store.vectors
     if store.provider == HASH_FALLBACK:
-        vectors = {t: _hash_vector(t, store.dim, store.seed)
-                   for doc in tokens for toks in doc for t in toks}
-    out = []
-    for doc, doc_tokens in zip(docs, tokens):
-        sentences = []
-        for sentence, toks in zip(doc.sentences, doc_tokens):
-            if toks:
-                vec = _naive_average(toks, vectors, store.dim)
-            else:
-                vec = np.zeros(store.dim)
-            sentences.append(replace(sentence, embedding=vec))
-        out.append(replace(doc, sentences=tuple(sentences)))
+        vectors = {t: _hash_vector(t, store.dim, store.seed) for toks in tokens for t in toks}
+    out = np.zeros((len(tokens), store.dim))
+    for row, toks in enumerate(tokens):
+        if toks:
+            out[row] = _naive_average(toks, vectors, store.dim)
     return out
+
+
+def one_shot_median_gamma(X, max_pairs: int, seed: int) -> float:
+    """`median_heuristic_gamma` with the differences of all sampled pairs
+    taken at once."""
+    rng = np.random.default_rng(seed)
+    i = rng.integers(0, len(X), size=max_pairs)
+    j = rng.integers(0, len(X), size=max_pairs)
+    keep = i != j
+    d2 = np.sum((X[i[keep]] - X[j[keep]]) ** 2, axis=1)
+    med = float(np.median(d2))
+    return 1.0 / med if med > 0 else 1.0
 
 
 def naive_predict(model, docs, store):
     """(predicted documents, document summaries) of `milsent predict`: every
     document's sentence vectors stacked into their own matrix and scored."""
     summaries, out = {}, []
-    for doc in naive_embed_corpus(docs, store):
+    X, hi = naive_embed_matrix(docs, store), 0
+    for doc in docs:
+        lo, hi = hi, hi + len(doc.sentences)
         if not doc.sentences:
             out.append(doc)
             continue
-        scores = sentence_scores(model, np.stack([s.embedding for s in doc.sentences]))
+        scores = sentence_scores(model, X[lo:hi].copy())
         labels = sentence_labels(scores)
         label, n_pos, n_neg = document_vote(labels, scores)
         summaries[doc.id] = {"label": LABEL_TO_TEXT[label], "positive_sentences": n_pos,

@@ -21,8 +21,8 @@ from milsent.baselines import (
     train_bow_logreg,
 )
 from milsent.cli import main
-from milsent.corpus import MilDataset, load_corpus, to_mil_dataset
-from milsent.embed import embed_corpus, load_embeddings
+from milsent.corpus import load_corpus
+from milsent.embed import embed_matrix, load_embeddings
 from milsent.eventstudy import (
     EventLabelConfig,
     MarketModel,
@@ -34,6 +34,7 @@ from milsent.eventstudy import (
 )
 from milsent.evaluate import score_predictions, temporal_split
 from milsent.mil import (
+    MilDataset,
     MilModel,
     TrainConfig,
     generate_synthetic,
@@ -41,6 +42,7 @@ from milsent.mil import (
     loss,
     sentence_labels,
     sentence_scores,
+    to_mil_dataset,
     train,
 )
 from conftest import label_and_score, make_doc, vote_of
@@ -335,8 +337,7 @@ def test_criterion_10_directional_comparison_on_external_corpus():
         if any(s.predicted_label is not None for s in d.sentences)
     ]
 
-    embedded_train = embed_corpus(train_docs, store)
-    dataset = to_mil_dataset(embedded_train)
+    dataset = to_mil_dataset(train_docs, embed_matrix(train_docs, store))
     mil_model = train(dataset, TrainConfig(seed=0)).model
 
     from milsent.preprocess import tokenize
@@ -350,15 +351,15 @@ def test_criterion_10_directional_comparison_on_external_corpus():
         index,
     )
 
-    embedded_eval = embed_corpus(evaluation, store)
+    X_eval = embed_matrix(evaluation, store)
+    sentences = [sentence for doc in evaluation for sentence in doc.sentences]
     gold, mil_pred, bow_pred = [], [], []
-    for doc in embedded_eval:
-        for sentence in doc.sentences:
-            if sentence.predicted_label is None:
-                continue
-            gold.append(sentence.predicted_label)
-            mil_pred.append(label_and_score(mil_model, sentence.embedding)[0])
-            bow_pred.append(bow_predict(bow_model, tokenize(sentence.text))[0])
+    for sentence, x in zip(sentences, X_eval):
+        if sentence.predicted_label is None:
+            continue
+        gold.append(sentence.predicted_label)
+        mil_pred.append(label_and_score(mil_model, x)[0])
+        bow_pred.append(bow_predict(bow_model, tokenize(sentence.text))[0])
     mil_accuracy = score_predictions(mil_pred, gold).accuracy
     bow_accuracy = score_predictions(bow_pred, gold).accuracy
     report(

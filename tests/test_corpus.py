@@ -9,7 +9,6 @@ from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,14 +16,14 @@ from milsent import corpus
 from milsent.corpus import (
     CorpusError,
     Document,
-    MilDataset,
     SentenceInstance,
     Sentences,
     load_corpus,
     save_corpus,
-    to_mil_dataset,
     with_predictions,
 )
+from milsent.embed import embed_matrix, hash_fallback_store
+from milsent.mil import to_mil_dataset
 from conftest import make_doc, make_sentence, write_jsonl
 
 
@@ -143,61 +142,6 @@ class TestInvariants:
         assert gold.score is None
 
 
-class TestToMilDataset:
-    def _embedded_doc(self, doc_id="d1", label=1, n=3, dim=4, fill=0.5):
-        sentences = tuple(
-            make_sentence(f"s{i}", embedding=np.full(dim, fill + i)) for i in range(n)
-        )
-        return make_doc(doc_id, label=label, sentences=sentences)
-
-    def test_single_doc_counts(self):
-        dataset = to_mil_dataset([self._embedded_doc(label=1, n=3)])
-        assert dataset.n_groups == 1
-        assert dataset.n_instances == 3
-        assert dataset.groups[0][1] == 1
-        assert dataset.dim == 4
-
-    def test_sentence_order_preserved(self):
-        dataset = to_mil_dataset([self._embedded_doc(n=3)])
-        matrix = dataset.groups[0][0]
-        assert matrix[0][0] == 0.5 and matrix[1][0] == 1.5 and matrix[2][0] == 2.5
-
-    def test_missing_embedding_names_doc(self):
-        doc = make_doc("dX", label=1, sentences=(
-            make_sentence("a", embedding=np.zeros(4)), make_sentence("b"),
-        ))
-        with pytest.raises(CorpusError, match="dX"):
-            to_mil_dataset([doc])
-
-    def test_missing_label(self):
-        with pytest.raises(CorpusError, match="label"):
-            to_mil_dataset([self._embedded_doc(label=None)])
-
-    def test_dimension_mismatch(self):
-        docs = [
-            self._embedded_doc("d1", dim=3),
-            self._embedded_doc("d2", dim=2),
-        ]
-        with pytest.raises(CorpusError, match="dimension"):
-            to_mil_dataset(docs)
-
-    def test_counts_preserved_across_corpus(self):
-        rng = np.random.default_rng(5)
-        docs = []
-        total = 0
-        for i in range(7):
-            n = int(rng.integers(1, 6))
-            total += n
-            docs.append(self._embedded_doc(f"d{i}", label=int(rng.integers(0, 2)), n=n))
-        dataset = to_mil_dataset(docs)
-        assert dataset.n_instances == total
-        assert dataset.n_groups == 7
-
-    def test_empty_group_rejected(self):
-        with pytest.raises(CorpusError):
-            MilDataset(groups=((np.zeros((0, 3)), 1),), dim=3)
-
-
 def test_with_predictions_roundtrip():
     doc = make_doc(sentences=(make_sentence("a"), make_sentence("b")))
     predicted = with_predictions(doc, [1, 0], [0.9, 0.1])
@@ -208,11 +152,10 @@ def test_with_predictions_roundtrip():
 
 
 def test_with_predictions_keeps_fields_and_checks_each_sentence():
-    doc = make_doc(sentences=(make_sentence("a b", tokens=("a", "b"), embedding=[1.0, 2.0]),))
+    doc = make_doc(sentences=(make_sentence("a b", tokens=("a", "b")),))
     predicted = with_predictions(doc, [0], [0.25])
     (sentence,) = predicted.sentences
     assert (sentence.text, sentence.tokens) == ("a b", ("a", "b"))
-    np.testing.assert_array_equal(sentence.embedding, [1.0, 2.0])
     assert (predicted.id, predicted.raw_text) == (doc.id, doc.raw_text)
     with pytest.raises(CorpusError, match="inconsistent"):
         with_predictions(doc, [1], [0.25])
@@ -238,22 +181,32 @@ class TestSentenceColumns:
             Sentences(["a", "b", "c"], labels=[1, 0, 1], scores=[0.9, 0.1, 0.4])
         with pytest.raises(CorpusError, match="score requires"):
             Sentences(["a", "b"], labels=[1, None], scores=[0.9, 0.1])
-        # labels may stand alone, and scores may be ints
+        # labels may stand alone, and scores may be ints, even ones too large
+        # for a float
         assert Sentences(["a", "b"], labels=[None, 1], scores=[None, 1]).scores == (None, 1)
+        assert Sentences(["a"], labels=[1], scores=[10**400]).scores == (10**400,)
+        assert Sentences(["a", "b"], labels=[None, 1], scores=[None, 10**400])
 
     @pytest.mark.parametrize("columns", [
         {"tokens": [()]}, {"labels": [1, 0, 1]}, {"scores": [0.5]},
-        {"embeddings": np.zeros((3, 2))}, {"embeddings": [None]},
+        {"tokens": [(), (), ()]}, {"labels": []},
     ])
     def test_mismatched_lengths(self, columns):
-        with pytest.raises(CorpusError, match="mismatched lengths|2 x d matrix"):
+        with pytest.raises(CorpusError, match="mismatched lengths"):
             Sentences(["a", "b"], **columns)
 
-    def test_embedding_checks(self):
-        with pytest.raises(CorpusError, match="1-d vector"):
-            Sentences(["a"], embeddings=[np.zeros((2, 2))])
-        with pytest.raises(CorpusError, match="x d matrix"):
-            Sentences(["a"], embeddings=np.zeros(3))
+    @pytest.mark.parametrize("label,score", [
+        (0, math.nan), (1, math.nan), (1, math.inf), (0, -math.inf)])
+    def test_non_finite_score_rejected(self, label, score):
+        # NaN >= 0.5 is false, so a NaN score agrees with label 0 by the
+        # label rule alone; it has no JSON form and would fail a later save
+        message = f"score {score} is not finite"
+        with pytest.raises(CorpusError, match=message):
+            SentenceInstance(text="x", predicted_label=label, score=score)
+        with pytest.raises(CorpusError, match=message):
+            Sentences(["a", "x", "c"], labels=[1, label, 0], scores=[0.75, score, 0.25])
+        with pytest.raises(CorpusError, match=message):
+            with_predictions(make_doc(sentences=(make_sentence("x"),)), [label], [score])
 
     def test_columns_cannot_be_reassigned(self):
         sentences = Sentences(["a"])
@@ -279,7 +232,7 @@ class TestSentenceViews:
         first, second, third = doc.sentences
         assert (first.text, first.tokens, first.predicted_label, first.score) == \
             ("a b.", ("a", "b"), 1, 0.75)
-        assert second.tokens == ("c",) and second.embedding is None
+        assert second.tokens == ("c",)
         assert doc.sentences[-1] == third == SentenceInstance("d.", predicted_label=0)
         with pytest.raises(IndexError):
             doc.sentences[3]
@@ -309,14 +262,14 @@ class TestSentenceViews:
         built = Document("x", "X", date(2005, 1, 3), "t", sentences=iter(doc.sentences))
         assert built.sentences == doc.sentences
 
-    def test_embeddings_of_views(self):
-        doc = make_doc(sentences=(make_sentence("a", embedding=[1.0, 2.0]), make_sentence("b")))
-        first, second = doc.sentences
-        np.testing.assert_array_equal(first.embedding, [1.0, 2.0])
-        assert second.embedding is None
-        matrix = Sentences(["a", "b"], embeddings=np.arange(4.0).reshape(2, 2))
-        np.testing.assert_array_equal(matrix[1].embedding, [2.0, 3.0])
-        assert matrix[1].embedding.any() and not matrix[0].embedding[:1].any()
+
+    def test_documents_from_columns_compare_and_hash(self):
+        columns = {"tokens": [("a",), ()], "labels": [1, 0], "scores": [0.75, 0.25]}
+        one, two = (replace(make_doc(), sentences=Sentences(["a.", "b."], **columns))
+                    for _ in range(2))
+        assert one == two and hash(one) == hash(two)
+        other = Sentences(["a.", "b."], **{**columns, "scores": [0.75, 0.0]})
+        assert one != replace(one, sentences=other)
 
 
 class TestNoSentenceObjects:
@@ -335,10 +288,8 @@ class TestNoSentenceObjects:
         docs = load_corpus(path)
         predicted = [with_predictions(doc, [1, 0], [0.5, 0.25]) for doc in docs]
         save_corpus(predicted, tmp_path / "out.jsonl")
-        embedded = [replace(doc, sentences=Sentences(doc.sentences.texts,
-                                                     embeddings=np.zeros((2, 3))))
-                    for doc in docs]
-        assert to_mil_dataset([replace(d, label=1) for d in embedded]).n_instances == 6
+        X = embed_matrix(docs, hash_fallback_store(dim=3))
+        assert to_mil_dataset([replace(d, label=1) for d in docs], X).n_instances == 6
         assert built == []
         assert load_corpus(tmp_path / "out.jsonl")[2].sentences[1].score == 0.25
         assert len(built) == 1
@@ -404,7 +355,6 @@ def _assert_valid(doc: Document) -> None:
                for tokens in columns.tokens)
     assert set(columns.labels) <= {0, 1, None}
     assert all(score is None or _finite_number(score) for score in columns.scores)
-    assert columns.embeddings is None
 
 
 class TestReaderFuzz:

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from milsent import embed
-from milsent.corpus import to_mil_dataset
+from milsent.mil import to_mil_dataset
 from milsent.preprocess import tokenize
 from milsent.embed import (
     EmbeddingError,
     EmbeddingStore,
-    embed_corpus,
     embed_matrix,
     embed_sentence,
     hash_fallback_store,
@@ -20,7 +19,7 @@ from milsent.embed import (
     sentence_key,
 )
 from conftest import make_doc, make_sentence
-from reference import naive_embed_corpus
+from reference import naive_embed_matrix
 
 
 class TestLoadEmbeddings:
@@ -155,6 +154,8 @@ class TestHashFallback:
 
 
 class TestEmbedCorpus:
+    """`embed_matrix` over a whole corpus: one row per sentence."""
+
     def test_attaches_embeddings_everywhere(self):
         docs = [
             make_doc("d1", label=1, sentences=(
@@ -162,20 +163,17 @@ class TestEmbedCorpus:
                 make_sentence("b", tokens=("b",)),
             )),
         ]
-        out = embed_corpus(docs, word_store())
-        dataset = to_mil_dataset(out)
+        dataset = to_mil_dataset(docs, embed_matrix(docs, word_store()))
         assert dataset.n_instances == 2
         np.testing.assert_allclose(dataset.groups[0][0][0], [0.5, 0.5])
 
     def test_tokenizes_when_tokens_missing(self):
         docs = [make_doc("d1", sentences=(make_sentence("a b"),))]
-        out = embed_corpus(docs, word_store())
-        np.testing.assert_allclose(out[0].sentences[0].embedding, [0.5, 0.5])
+        np.testing.assert_allclose(embed_matrix(docs, word_store()), [[0.5, 0.5]])
 
     def test_empty_sentence_gets_zero_vector(self):
         docs = [make_doc("d1", sentences=(make_sentence("..."),))]
-        out = embed_corpus(docs, word_store())
-        np.testing.assert_array_equal(out[0].sentences[0].embedding, [0.0, 0.0])
+        np.testing.assert_array_equal(embed_matrix(docs, word_store()), [[0.0, 0.0]])
 
     def test_precomputed_lookup_by_doc_and_index(self):
         store = EmbeddingStore(
@@ -184,10 +182,9 @@ class TestEmbedCorpus:
             provider="precomputed-sentence",
         )
         docs = [make_doc("d1", sentences=(make_sentence("anything"),))]
-        out = embed_corpus(docs, store)
-        np.testing.assert_array_equal(out[0].sentences[0].embedding, [3.0, 4.0])
+        np.testing.assert_array_equal(embed_matrix(docs, store), [[3.0, 4.0]])
         with pytest.raises(EmbeddingError, match="d1:1"):
-            embed_corpus([make_doc("d1", sentences=(make_sentence("x"), make_sentence("y")))], store)
+            embed_matrix([make_doc("d1", sentences=(make_sentence("x"), make_sentence("y")))], store)
 
 
 class TestHashTable:
@@ -217,25 +214,26 @@ class TestHashTable:
                     for t in s.tokens or tokenize(s.text)}
         for _ in range(2):
             calls.clear()
-            embed_corpus(docs, hash_fallback_store(dim=8, seed=3))
+            embed_matrix(docs, hash_fallback_store(dim=8, seed=3))
             assert sorted(calls) == sorted(distinct)
 
     def test_corpus_equals_per_sentence_vectors(self):
         store = hash_fallback_store(dim=8, seed=3)
         docs = self._docs()
-        out = embed_corpus(docs, store)
-        for doc, embedded in zip(docs, out):
-            for sentence, got in zip(doc.sentences, embedded.sentences):
-                tokens = sentence.tokens or tokenize(sentence.text)
-                if tokens:
-                    assert np.array_equal(got.embedding, embed_sentence(tokens, store))
-                    # the mean of one hash vector per occurrence, in sorted order
-                    occurrences = [embed._hash_vector(t, 8, 3) for t in sorted(tokens)]
-                    assert np.array_equal(got.embedding, np.mean(occurrences, axis=0))
+        X = embed_matrix(docs, store)
+        sentences = [s for doc in docs for s in doc.sentences]
+        assert len(X) == len(sentences)
+        for sentence, got in zip(sentences, X):
+            tokens = sentence.tokens or tokenize(sentence.text)
+            if tokens:
+                assert np.array_equal(got, embed_sentence(tokens, store))
+                # the mean of one hash vector per occurrence, in sorted order
+                occurrences = [embed._hash_vector(t, 8, 3) for t in sorted(tokens)]
+                assert np.array_equal(got, np.mean(occurrences, axis=0))
 
     def test_token_less_sentence_gets_zero_vector(self):
-        out = embed_corpus(self._docs(), hash_fallback_store(dim=8, seed=3))
-        assert np.array_equal(out[0].sentences[1].embedding, np.zeros(8))
+        X = embed_matrix(self._docs(), hash_fallback_store(dim=8, seed=3))
+        assert np.array_equal(X[1], np.zeros(8))
 
 
 VOCAB = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "j"]
@@ -264,14 +262,9 @@ def _corpus(doc_sentences, tokenized):
 
 
 def _assert_matches_oracle(docs, store):
-    got, want = embed_corpus(docs, store), naive_embed_corpus(docs, store)
-    assert len(got) == len(want)
-    for g_doc, w_doc in zip(got, want):
-        assert g_doc.id == w_doc.id and len(g_doc.sentences) == len(w_doc.sentences)
-        for g, w in zip(g_doc.sentences, w_doc.sentences):
-            assert (g.text, g.tokens, g.predicted_label, g.score) == \
-                (w.text, w.tokens, w.predicted_label, w.score)
-            assert np.array_equal(g.embedding, w.embedding)
+    got, want = embed_matrix(docs, store), naive_embed_matrix(docs, store)
+    assert got.shape == want.shape == (sum(len(d.sentences) for d in docs), store.dim)
+    assert np.array_equal(got, want)
 
 
 class TestEmbedMatrixOracle:

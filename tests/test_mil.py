@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from milsent import mil
-from milsent.corpus import MilDataset
+from milsent.corpus import CorpusError
 from milsent.mil import (
     GridSpec,
+    MilDataset,
     MilModel,
     ModelFormatError,
     TrainConfig,
@@ -25,14 +26,16 @@ from milsent.mil import (
     sentence_labels,
     sentence_scores,
     sigmoid,
+    to_mil_dataset,
     train,
 )
-from conftest import label_and_score, vote_of
+from conftest import label_and_score, make_doc, make_sentence, vote_of
 from reference import (
     central_difference_gradient,
     naive_document_vote,
     naive_mil_gradient,
     naive_mil_loss,
+    one_shot_median_gamma,
     relative_gradient_error,
     scalar_sigmoid,
 )
@@ -402,6 +405,85 @@ def test_peak_memory_holds_no_copy_of_the_instances(wide_dataset, call):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * wide_dataset.X.nbytes
+
+
+def test_median_gamma_memory_is_bounded(wide_dataset):
+    # the 10 000 sampled pairs are differenced in row blocks: all at once
+    # they would hold about 3 x 10 000 x 500 floats, 114 MB, whatever n is
+    tracemalloc.start()
+    try:
+        gamma = median_heuristic_gamma(wide_dataset, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < wide_dataset.X.nbytes
+    assert gamma == one_shot_median_gamma(wide_dataset.X, 10_000, seed=3)
+
+
+@pytest.mark.parametrize("dim", [3, 50, 300])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_median_gamma_equals_one_shot_formula(dim, seed):
+    dataset, _ = generate_synthetic(40, 5, dim, 2.0, 0.1, seed=seed)
+    for max_pairs in (1, 63, 64, 65, 10_000):
+        assert median_heuristic_gamma(dataset, max_pairs, seed) == \
+            one_shot_median_gamma(dataset.X, max_pairs, seed)
+
+
+def _embedded_corpus(sizes, labels=None, dim=4):
+    """Documents of the given sentence counts and their embedding matrix,
+    one row per sentence in corpus order, row r filled with r + 0.5."""
+    labels = labels or [1] * len(sizes)
+    docs = [make_doc(f"d{i}", label=label, sentences=[make_sentence(f"s{j}") for j in range(n)])
+            for i, (n, label) in enumerate(zip(sizes, labels))]
+    return docs, np.repeat(np.arange(sum(sizes)) + 0.5, dim).reshape(-1, dim)
+
+
+class TestToMilDataset:
+    def test_single_doc_counts(self):
+        dataset = to_mil_dataset(*_embedded_corpus([3]))
+        assert dataset.n_groups == 1
+        assert dataset.n_instances == 3
+        assert dataset.groups[0][1] == 1
+        assert dataset.dim == 4
+
+    def test_sentence_order_preserved(self):
+        docs, X = _embedded_corpus([3, 2])
+        dataset = to_mil_dataset(docs, X)
+        (first, _), (second, _) = dataset.groups
+        assert first[:, 0].tolist() == [0.5, 1.5, 2.5] and second[:, 0].tolist() == [3.5, 4.5]
+        # the rows are copied once into the dataset's own matrix
+        assert not np.shares_memory(dataset.X, X)
+
+    def test_row_count_mismatch(self):
+        docs, X = _embedded_corpus([2, 3])
+        for bad in (X[:-1], np.vstack([X, X[:1]]), X[:, 0]):
+            with pytest.raises(CorpusError, match="the corpus has 5 sentences"):
+                to_mil_dataset(docs, bad)
+
+    def test_missing_label(self):
+        with pytest.raises(CorpusError, match="document d1 has no label"):
+            to_mil_dataset(*_embedded_corpus([2, 1], labels=[1, None]))
+
+    def test_document_without_sentences_named(self):
+        with pytest.raises(CorpusError, match="document d1 has no sentences"):
+            to_mil_dataset(*_embedded_corpus([2, 0, 1]))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(CorpusError, match="group dimension 2 != dataset dimension 3"):
+            MilDataset(groups=((np.zeros((2, 3)), 1), (np.zeros((1, 2)), 0)), dim=3)
+
+    def test_counts_preserved_across_corpus(self):
+        rng = np.random.default_rng(5)
+        sizes = rng.integers(1, 6, size=7).tolist()
+        labels = rng.integers(0, 2, size=7).tolist()
+        dataset = to_mil_dataset(*_embedded_corpus(sizes, labels))
+        assert dataset.n_instances == sum(sizes)
+        assert dataset.n_groups == 7
+        assert dataset.labels.tolist() == labels and dataset.sizes.tolist() == sizes
+
+    def test_empty_group_rejected(self):
+        with pytest.raises(CorpusError):
+            MilDataset(groups=((np.zeros((0, 3)), 1),), dim=3)
 
 
 class TestTrain:
