@@ -4,21 +4,26 @@ regression.
 The dictionary route counts positive and negative term hits and answers
 neutral on ties or when no listed word occurs; there is deliberately no
 negation handling. The logistic-regression route works on raw term
-frequencies (or any feature matrix, e.g. sentence embeddings) and is fitted
-by plain gradient descent with L2 regularization.
+frequencies (or any sparse real features) with L2 regularization, and is
+fitted to convergence by truncated Newton: conjugate-gradient steps on
+Hessian-vector products over the nonzero counts, with a backtracking line
+search.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from typing import Mapping, Sequence
 
-import numpy as np
-
+from milsent._lazy import lazy_numpy
 from milsent.corpus import NEGATIVE, POSITIVE
-from milsent.mil import sigmoid
+from milsent.mil import TrainingError, sigmoid
+
+np = lazy_numpy()
 
 log = logging.getLogger(__name__)
 
@@ -110,51 +115,106 @@ def bow_featurize(tokens: Sequence[str], vocabulary_index: Mapping[str, int]) ->
     return counts
 
 
-def features_to_matrix(features: Sequence[Mapping[int, float]], n_columns: int) -> np.ndarray:
-    matrix = np.zeros((len(features), n_columns))
-    for row, counts in enumerate(features):
-        for col, value in counts.items():
-            matrix[row, col] = value
-    return matrix
+class _Logistic:
+    """Mean cross-entropy plus (l2/2)||w||^2 over an n x V feature matrix
+    held as (row, column, value) triplets, at parameters x = (w, b); the
+    intercept b is not penalized. Products with the matrix and with its
+    transpose are `np.bincount` sums over the triplets, so no n x V array
+    is ever built."""
+
+    def __init__(self, features: Sequence[Mapping[int, float]], y, n_columns: int, l2: float):
+        nnz = sum(map(len, features))
+        self.rows = np.repeat(np.arange(len(features)), [len(f) for f in features])
+        self.cols = np.fromiter(chain.from_iterable(features), dtype=np.intp, count=nnz)
+        self.values = np.fromiter(chain.from_iterable(f.values() for f in features),
+                                  dtype=float, count=nnz)
+        if nnz and not 0 <= self.cols.min() <= self.cols.max() < n_columns:
+            raise ValueError(f"feature columns must lie in [0, {n_columns})")
+        self.y, self.n_columns, self.l2 = y, n_columns, l2
+        self.curvature = None
+
+    def _times(self, x):
+        """X w + b."""
+        return np.bincount(self.rows, weights=self.values * x[self.cols],
+                           minlength=len(self.y)) + x[-1]
+
+    def _transpose_times(self, r, x):
+        """(X^T r + l2 w, sum(r))."""
+        grad_w = np.bincount(self.cols, weights=self.values * r[self.rows],
+                             minlength=self.n_columns)
+        return np.append(grad_w + self.l2 * x[:-1], r.sum())
+
+    def value(self, x) -> float:
+        z = self._times(x)
+        w = x[:-1]
+        return float(np.mean(np.logaddexp(0.0, z) - self.y * z)) + 0.5 * self.l2 * float(w @ w)
+
+    def gradient(self, x):
+        """The gradient at x. Also sets the curvature that `hessian_times`
+        uses to the curvature at x."""
+        p = sigmoid(self._times(x))
+        n = len(self.y)
+        self.curvature = p * (1.0 - p) / n
+        return self._transpose_times((p - self.y) / n, x)
+
+    def hessian_times(self, v):
+        """The Hessian at the last gradient's x, times v."""
+        return self._transpose_times(self.curvature * self._times(v), v)
 
 
-def fit_logistic_gd(
-    X: np.ndarray,
-    y: np.ndarray,
-    l2_strength: float = 0.0,
-    *,
-    tol: float = 1e-6,
-    max_iter: int = 10_000,
-    step: float | None = None,
-) -> tuple[np.ndarray, float, int]:
-    """Gradient descent on mean cross-entropy + (l2/2)||w||^2 (intercept free).
-
-    The default step is 1/L for an upper bound L on the gradient Lipschitz
-    constant, which makes every iteration decrease the loss. Stops when the
-    gradient norm drops below tol or after max_iter iterations.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    # not np.unique: its first call in a process imports numpy.ma
-    if not y.size or y.min() == y.max():
-        raise ValueError("need at least one example of each class")
-    n = len(y)
-    if step is None:
-        lipschitz = 0.25 * float(np.mean(np.sum(X * X, axis=1) + 1.0)) + l2_strength
-        step = 1.0 / max(lipschitz, 1e-12)
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        p = sigmoid(X @ w + b)
-        residual = p - y
-        gw = X.T @ residual / n + l2_strength * w
-        gb = float(np.mean(residual))
-        if np.sqrt(float(np.dot(gw, gw)) + gb * gb) < tol:
+def _conjugate_gradient(hessian_times, g, tolerance: float):
+    """d with ||H d + g|| <= tolerance, by conjugate gradients from d = 0,
+    for a positive definite H given only through `hessian_times`."""
+    d = np.zeros_like(g)
+    r = -g
+    p = r.copy()
+    rr = float(r @ r)
+    for _ in range(len(g)):
+        if math.sqrt(rr) <= tolerance:
             break
-        w = w - step * gw
-        b = b - step * gb
-    return w, b, iterations
+        hp = hessian_times(p)
+        alpha = rr / float(p @ hp)
+        d += alpha * p
+        r -= alpha * hp
+        rr, rr_before = float(r @ r), rr
+        p = r + (rr / rr_before) * p
+    return d
+
+
+TOL = 1e-6  # the fit stops once the gradient norm is below this
+MAX_NEWTON_STEPS = 100
+ARMIJO = 1e-4  # share of the first-order decrease a step must achieve
+MAX_HALVINGS = 30
+
+
+def _newton_iterates(objective: _Logistic):
+    """Each iterate x = (w, b), from zero, with its gradient g: truncated
+    Newton with a backtracking line search (Lin, Weng & Keerthi, JMLR 2008,
+    globalized by line search as Nocedal & Wright, Algorithm 7.1). A step
+    solves H d = -g by conjugate gradients to a residual of
+    min(0.5, sqrt(||g||)) ||g||, then moves by the longest 2^-k d that
+    decreases the objective by ARMIJO times the first-order prediction."""
+    x = np.zeros(objective.n_columns + 1)
+    value = objective.value(x)
+    while True:
+        g = objective.gradient(x)
+        yield x, g
+        norm = math.sqrt(float(g @ g))
+        d = _conjugate_gradient(objective.hessian_times, g, min(0.5, math.sqrt(norm)) * norm)
+        slope = float(g @ d)
+        step = 1.0
+        for _ in range(MAX_HALVINGS):
+            trial = x + step * d
+            trial_value = objective.value(trial)
+            if trial_value <= value + ARMIJO * step * slope:
+                break
+            step /= 2
+        else:
+            raise TrainingError(
+                f"bag-of-words fit: no decrease along the Newton direction at gradient "
+                f"norm {norm:.3g}"
+            )
+        x, value = trial, trial_value
 
 
 def train_bow_logreg(
@@ -163,18 +223,37 @@ def train_bow_logreg(
     vocabulary_index: Mapping[str, int],
     l2_strength: float = 1e-3,
 ) -> BowModel:
-    """L2-regularized logistic regression on sparse count features.
+    """L2-regularized logistic regression on sparse count features: the
+    minimizer of mean cross-entropy + (l2/2)||w||^2 (intercept free), fitted
+    by truncated Newton from zero until the gradient norm is below `TOL`.
 
-    Weights initialize at zero, so the fit is deterministic.
+    Deterministic. l2_strength must be > 0: separable data has no minimizer
+    without it. Not converging within `MAX_NEWTON_STEPS` Newton steps is a
+    `TrainingError`.
     """
-    X = features_to_matrix(features, len(vocabulary_index))
+    if not 0 < l2_strength < math.inf:
+        raise ValueError(f"l2_strength must be finite and > 0, got {l2_strength}")
     y = np.asarray(labels, dtype=float)
-    w, b, iterations = fit_logistic_gd(X, y, l2_strength)
+    if len(y) != len(features):
+        raise ValueError(f"{len(features)} feature rows but {len(y)} labels")
+    # not np.unique: its first call in a process imports numpy.ma
+    if not y.size or y.min() == y.max():
+        raise ValueError("need at least one example of each class")
+    objective = _Logistic(features, y, len(vocabulary_index), l2_strength)
+    for iterations, (x, g) in enumerate(_newton_iterates(objective)):
+        norm = math.sqrt(float(g @ g))
+        if norm < TOL:
+            break
+        if iterations == MAX_NEWTON_STEPS:
+            raise TrainingError(
+                f"bag-of-words fit did not converge in {MAX_NEWTON_STEPS} Newton steps: "
+                f"gradient norm {norm:.3g} >= {TOL:g}"
+            )
     log.debug("bow logreg converged in %d iterations", iterations)
     return BowModel(
         vocabulary_index=dict(vocabulary_index),
-        weights=w,
-        intercept=b,
+        weights=x[:-1],
+        intercept=float(x[-1]),
         l2_strength=l2_strength,
     )
 

@@ -19,11 +19,10 @@ from datetime import datetime, timezone
 from itertools import compress
 from pathlib import Path
 
-import numpy as np
-
 import milsent
 from milsent import config as configfile
 from milsent import embed, eventstudy, evaluate, mil, preprocess
+from milsent._lazy import lazy_numpy
 from milsent.baselines import DictionaryError
 from milsent.corpus import (
     CorpusError,
@@ -32,10 +31,13 @@ from milsent.corpus import (
     NEGATIVE,
     POSITIVE,
     Sentences,
+    atomic_write,
     load_corpus,
     save_corpus,
     with_predictions,
 )
+
+np = lazy_numpy()
 
 CONFIG_ENV_VAR = "MILSENT_CONFIG"
 
@@ -74,7 +76,7 @@ class RunManifest:
 
     def write(self, path) -> None:
         self.finished_at = datetime.now(timezone.utc).isoformat()
-        with open(path, "w", encoding="utf-8") as handle:
+        with atomic_write(path) as handle:
             json.dump(self.__dict__, handle, indent=2, sort_keys=True)
             handle.write("\n")
 
@@ -455,7 +457,7 @@ def cmd_predict(args) -> int:
     # one string, one write: json.dump would stream the indented text in
     # many small writes
     text = json.dumps(doc_summaries, indent=2, sort_keys=True)
-    with open(docs_path, "w", encoding="utf-8") as handle:
+    with atomic_write(docs_path) as handle:
         handle.write(text + "\n")
     _eprint(f"predicted {sum(len(d.sentences) for d in out_docs)} sentences "
             f"in {len(out_docs)} documents")
@@ -528,12 +530,17 @@ def _document_pairs(gold_docs, pred_docs, pred_name: str):
 
 def cmd_evaluate(args) -> int:
     _require_file(args.gold, "gold corpus")
-    gold_docs = load_corpus(args.gold)
-    reports: dict[str, evaluate.EvalReport] = {}
+    methods: dict[str, str] = {}
     for entry in args.predictions:
         name, sep, path = entry.partition("=")
         if not sep:
             name, path = Path(entry).stem, entry
+        if name in methods:
+            raise UsageError(f"method name {name!r} given twice: {methods[name]} and {path}")
+        methods[name] = path
+    gold_docs = load_corpus(args.gold)
+    reports: dict[str, evaluate.EvalReport] = {}
+    for name, path in methods.items():
         _require_file(path, f"predictions file for {name}")
         pred_docs = load_corpus(path)
         if args.mode == "sentence":
@@ -548,7 +555,7 @@ def cmd_evaluate(args) -> int:
     else:
         rendered = evaluate.format_report_table(reports, title)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with atomic_write(args.out) as handle:
             handle.write(rendered + "\n")
         manifest = _manifest(
             "evaluate", args,
@@ -622,7 +629,7 @@ def cmd_render(args) -> int:
         )
     rendered = _render_html(doc) if args.format == "html" else _render_ansi(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with atomic_write(args.out) as handle:
             handle.write(rendered)
             if not rendered.endswith("\n"):
                 handle.write("\n")

@@ -24,11 +24,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections.abc import Sequence as SequenceABC
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import date
 from itertools import chain
 from operator import attrgetter
+from pathlib import Path
 from typing import Iterable, Sequence
 
 POSITIVE = 1
@@ -59,6 +62,28 @@ def utf8_lines(handle, path, error: type[Exception], unit: str = "line"):
                 except UnicodeDecodeError:
                     break
         raise error(f"{path}: {unit} {line_no}: not valid UTF-8 ({exc.reason})") from exc
+
+
+@contextmanager
+def atomic_write(path):
+    """A UTF-8 text handle on a new temporary file beside `path`, moved onto
+    `path` when the block ends. If the block raises, the temporary file is
+    removed and `path` is left as it was: an output is whole or absent. A
+    `path` that exists and is not a regular file (a pipe, /dev/stdout) is
+    written in place."""
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
+        return
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 # `abs(score) < inf`: false for NaN and infinities, true for an int too
@@ -354,8 +379,9 @@ def _record_of(doc: Document) -> dict:
 
 def save_corpus(docs: Iterable[Document], path) -> None:
     """Write a corpus file; load_corpus(save_corpus(c)) reproduces all fields.
-    A non-finite number has no JSON form and fails the write."""
-    with open(path, "w", encoding="utf-8") as handle:
+    A non-finite number has no JSON form and fails the write, which then
+    leaves any existing file at `path` untouched."""
+    with atomic_write(path) as handle:
         for doc in docs:
             try:
                 handle.write(json.dumps(_record_of(doc), ensure_ascii=False, allow_nan=False))

@@ -25,10 +25,11 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Sequence
 
-import numpy as np
-
+from milsent._lazy import lazy_numpy
 from milsent.corpus import Document, utf8_lines
 from milsent.preprocess import tokenize
+
+np = lazy_numpy()
 
 PRECOMPUTED_SENTENCE = "precomputed-sentence"
 WORD_AVERAGE = "word-average"

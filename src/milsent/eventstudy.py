@@ -20,9 +20,10 @@ from dataclasses import dataclass, replace
 from datetime import date
 from typing import Mapping, Sequence
 
-import numpy as np
-
+from milsent._lazy import lazy_numpy
 from milsent.corpus import Document, NEGATIVE, POSITIVE, utf8_lines
+
+np = lazy_numpy()
 
 
 class EventStudyError(Exception):
@@ -74,23 +75,33 @@ class EventLabelConfig:
 
 
 def load_price_series(path, ticker: str) -> PriceSeries:
-    """Read a `date,close` CSV (header row required)."""
+    """Read a `date,close` CSV (header row required), dates strictly
+    increasing and closes positive. A bad row raises an EventStudyError
+    that names the file and the row."""
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(utf8_lines(handle, path, EventStudyError, unit="row"))
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["date", "close"]:
-            raise EventStudyError(f"{path}: expected header 'date,close'")
         observations = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row or not "".join(row).strip():
-                continue
-            try:
-                day, close = date.fromisoformat(row[0].strip()), float(row[1])
-            except (ValueError, IndexError) as exc:
-                raise EventStudyError(f"{path}: row {row_no}: {exc}") from exc
-            if not math.isfinite(close):
-                raise EventStudyError(f"{path}: row {row_no}: close {close} is not finite")
-            observations.append((day, close))
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip().lower() for h in header[:2]] != ["date", "close"]:
+                raise EventStudyError(f"{path}: row 1: expected header 'date,close'")
+            for row_no, row in enumerate(reader, start=2):
+                if not row or not "".join(row).strip():
+                    continue
+                try:
+                    day, close = date.fromisoformat(row[0].strip()), float(row[1])
+                except (ValueError, IndexError) as exc:
+                    raise EventStudyError(f"{path}: row {row_no}: {exc}") from exc
+                if not math.isfinite(close):
+                    raise EventStudyError(f"{path}: row {row_no}: close {close} is not finite")
+                if close <= 0:
+                    raise EventStudyError(f"{path}: row {row_no}: close {close} is not positive")
+                if observations and day <= observations[-1][0]:
+                    raise EventStudyError(f"{path}: row {row_no}: date {day} does not follow "
+                                          f"{observations[-1][0]}")
+                observations.append((day, close))
+        except csv.Error as exc:
+            raise EventStudyError(f"{path}: line {reader.line_num}: {exc}") from exc
     return PriceSeries(ticker=ticker, observations=tuple(observations))
 
 

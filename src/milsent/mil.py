@@ -34,9 +34,10 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
-import numpy as np
+from milsent._lazy import lazy_numpy
+from milsent.corpus import CorpusError, Document, NEGATIVE, POSITIVE, atomic_write
 
-from milsent.corpus import CorpusError, Document, NEGATIVE, POSITIVE
+np = lazy_numpy()
 
 MODEL_FORMAT = "milsent-model"
 MODEL_VERSION = 1
@@ -109,13 +110,32 @@ class MilModel:
         object.__setattr__(self, "theta", theta)
 
 
+def _block_owner(matrices: list, shape: tuple[int, int]):
+    """The float matrix of `shape` whose consecutive row blocks, first to
+    last, are exactly `matrices`, as a view of the C-ordered array that
+    holds them and nothing else; None if there is no such array."""
+    base = matrices[0].base if matrices else None
+    if not (isinstance(base, np.ndarray) and base.size == shape[0] * shape[1]
+            and base.dtype == float and base.flags.c_contiguous):
+        return None
+    start = base.__array_interface__["data"][0]
+    for matrix in matrices:
+        if (matrix.base is not base or not matrix.flags.c_contiguous
+                or matrix.__array_interface__["data"][0] != start):
+            return None
+        start += matrix.nbytes
+    return base if base.shape == shape else base.reshape(shape)
+
+
 @dataclass(frozen=True)
 class MilDataset:
     """Groups of instance vectors with binary group labels, stacked once.
 
     `X` holds every instance, n x dim, group after group; `labels` and
     `sizes` hold one entry per group. Each entry of `groups` is (a view of
-    X, label): the given matrices are copied into X and not kept.
+    X, label). Float matrices that are consecutive row blocks of one
+    C-ordered n x dim matrix, as `to_mil_dataset` passes them, stay views
+    and that matrix becomes X; any other matrices are copied into a new X.
     """
 
     groups: tuple[tuple[np.ndarray, int], ...]
@@ -138,10 +158,13 @@ class MilDataset:
                 raise CorpusError("group labels must be 0 or 1")
             matrices.append(matrix)
             labels.append(int(label))
-        X = np.concatenate(matrices) if matrices else np.empty((0, self.dim))
         sizes = np.array([len(matrix) for matrix in matrices], dtype=np.intp)
+        X = _block_owner(matrices, (int(sizes.sum()), self.dim))
+        if X is None:
+            X = np.concatenate(matrices) if matrices else np.empty((0, self.dim))
+            matrices = np.split(X, np.cumsum(sizes)[:-1])
         _set = object.__setattr__
-        _set(self, "groups", tuple(zip(np.split(X, np.cumsum(sizes)[:-1]), labels)))
+        _set(self, "groups", tuple(zip(matrices, labels)))
         _set(self, "X", X)
         _set(self, "labels", np.array(labels, dtype=np.intp))
         _set(self, "sizes", sizes)
@@ -159,8 +182,9 @@ def to_mil_dataset(corpus: Sequence[Document], X: np.ndarray) -> MilDataset:
     """One group per document, in corpus order: the document's rows of X and
     its label. X holds one row per sentence of the corpus, in corpus order,
     as `embed.embed_matrix` returns it. Every document must carry a label
-    and at least one sentence. The dataset copies the rows into its own `X`
-    once and keeps no reference to the given matrix."""
+    and at least one sentence. A C-ordered float X, as `embed_matrix`
+    returns it, becomes the dataset's own `X` and its groups are views of
+    it: no row is copied. Any other X is converted and copied once."""
     X = np.asarray(X, dtype=float)
     sizes = [len(doc.sentences) for doc in corpus]
     if X.ndim != 2 or len(X) != sum(sizes):
@@ -240,15 +264,17 @@ def sentence_labels(scores) -> np.ndarray:
 
 def document_vote(labels, scores=None) -> tuple[int | None, int, int]:
     """(label, positive_count, negative_count): the majority sentence label; a
-    tie goes by the mean score against 0.5, or stays None without scores."""
-    positive = int(np.count_nonzero(np.asarray(labels) == POSITIVE))
+    tie goes by the mean score, `sum(scores) / len(scores)` added left to
+    right, against 0.5, or stays None without scores. Counted in Python: a
+    document has few sentences, and `evaluate` then runs without numpy."""
+    positive = sum(1 for label in labels if label == POSITIVE)
     negative = len(labels) - positive
     if positive != negative:
         label = POSITIVE if positive > negative else NEGATIVE
     elif scores is None or len(scores) == 0:
         label = None
     else:
-        label = POSITIVE if float(np.mean(scores)) >= 0.5 else NEGATIVE
+        label = POSITIVE if sum(scores) / len(scores) >= 0.5 else NEGATIVE
     return label, positive, negative
 
 
@@ -510,7 +536,7 @@ def save_model(model: MilModel, path) -> None:
         "theta": [float(v) for v in model.theta],
         "config": asdict(model.config),
     }
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         json.dump(record, handle, sort_keys=True, separators=(",", ":"))
         handle.write("\n")
 

@@ -9,12 +9,11 @@ count sits in the extreme tails of the corpus distribution, are dropped.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from milsent.corpus import Document
 
@@ -181,6 +180,21 @@ def _word_count(doc: Document) -> int:
     )
 
 
+def _quantile(ordered: Sequence[float], q: float) -> float:
+    """`np.quantile(ordered, q)` of non-empty ascending values, computed as
+    numpy's default (linear) method does, to the last bit: the value at
+    index (n - 1) * q, interpolated between its two neighbours from the
+    nearer end."""
+    index = (len(ordered) - 1) * q
+    lo = math.floor(index)
+    if lo >= len(ordered) - 1:
+        return float(ordered[-1])
+    a, b = float(ordered[lo]), float(ordered[lo + 1])
+    t = index - lo
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 def filter_corpus(
     corpus: Sequence[Document], config: PreprocessConfig | None = None
 ) -> list[Document]:
@@ -193,7 +207,8 @@ def filter_corpus(
     survivors = [d for d in corpus if _word_count(d) >= config.min_doc_words]
     if not survivors:
         return []
-    counts = np.array([len(d.sentences) for d in survivors], dtype=float)
-    lo = np.quantile(counts, config.length_percentile)
-    hi = np.quantile(counts, 1.0 - config.length_percentile)
+    counts = [len(d.sentences) for d in survivors]
+    ordered = sorted(counts)
+    lo = _quantile(ordered, config.length_percentile)
+    hi = _quantile(ordered, 1.0 - config.length_percentile)
     return [d for d, c in zip(survivors, counts) if lo <= c <= hi]

@@ -121,12 +121,46 @@ def relative_gradient_error(analytic, numeric) -> float:
 
 def logistic_loss(X, y, w, b, l2_strength: float = 0.0) -> float:
     """Mean cross-entropy plus the L2 penalty; the quantity
-    `baselines.fit_logistic_gd` minimizes."""
+    `baselines.train_bow_logreg` minimizes."""
     z = np.asarray(X, dtype=float) @ w + b
     y = np.asarray(y, dtype=float)
     # log(1 + exp(-|z|)) variant avoids overflow on both branches.
     ce = np.mean(np.logaddexp(0.0, z) - y * z)
     return float(ce) + 0.5 * l2_strength * float(np.dot(w, w))
+
+
+def logistic_gradient(X, y, w, b, l2_strength: float = 0.0) -> np.ndarray:
+    """Gradient of `logistic_loss` in (w, b), from a dense matrix."""
+    X = np.asarray(X, dtype=float)
+    residual = 1.0 / (1.0 + np.exp(-(X @ w + b))) - np.asarray(y, dtype=float)
+    return np.append(X.T @ residual / len(residual) + l2_strength * w, np.mean(residual))
+
+
+def gradient_descent_logistic(X, y, l2_strength: float, steps: int = 10_000):
+    """(w, b) after `steps` gradient steps of size 1/L on `logistic_loss`
+    from zero, L an upper bound on the gradient's Lipschitz constant."""
+    X = np.asarray(X, dtype=float)
+    step = 1.0 / (0.25 * float(np.mean(np.sum(X * X, axis=1) + 1.0)) + l2_strength)
+    w, b = np.zeros(X.shape[1]), 0.0
+    for _ in range(steps):
+        g = logistic_gradient(X, y, w, b, l2_strength)
+        w, b = w - step * g[:-1], b - step * g[-1]
+    return w, b
+
+
+def dense_features(features, n_columns: int) -> np.ndarray:
+    """The n x n_columns matrix of sparse {column: value} feature rows."""
+    matrix = np.zeros((len(features), n_columns))
+    for row, counts in enumerate(features):
+        for col, value in counts.items():
+            matrix[row, col] = value
+    return matrix
+
+
+def sparse_features(X) -> list[dict[int, float]]:
+    """The nonzero entries of each row of a dense matrix."""
+    return [{col: float(value) for col, value in enumerate(row) if value != 0}
+            for row in np.asarray(X, dtype=float)]
 
 
 def naive_document_vote(scores) -> tuple[int, int, int]:

@@ -1,7 +1,11 @@
+import itertools
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from milsent import baselines
 from milsent.baselines import (
     BowModel,
     DictionaryError,
@@ -9,14 +13,23 @@ from milsent.baselines import (
     bow_featurize,
     bow_predict,
     build_vocabulary_index,
+    _Logistic,
+    _newton_iterates,
     dictionary_classify,
-    features_to_matrix,
-    fit_logistic_gd,
     load_demo_dictionary,
     load_dictionary,
     train_bow_logreg,
 )
-from reference import central_difference_gradient, logistic_loss, relative_gradient_error
+from milsent.mil import TrainingError
+from reference import (
+    central_difference_gradient,
+    dense_features,
+    gradient_descent_logistic,
+    logistic_gradient,
+    logistic_loss,
+    relative_gradient_error,
+    sparse_features,
+)
 
 DICT = PolarityDictionary(
     name="toy",
@@ -111,29 +124,62 @@ class TestBowFeatures:
         assert index == {"b": 0, "a": 1, "c": 2}
 
     def test_matrix_stacking(self):
+        # the fit's sparse products equal those of the stacked dense matrix
         features = [{0: 2, 1: 1}, {}, {1: 3}]
-        matrix = features_to_matrix(features, 2)
-        np.testing.assert_array_equal(matrix, [[2, 1], [0, 0], [0, 3]])
+        matrix = np.array([[2.0, 1.0], [0.0, 0.0], [0.0, 3.0]])
+        np.testing.assert_array_equal(dense_features(features, 2), matrix)
+        objective = _Logistic(features, np.array([1.0, 0.0, 1.0]), 2, l2=0.5)
+        x = np.array([0.25, -1.5, 0.125])
+        np.testing.assert_array_equal(objective._times(x), matrix @ x[:2] + x[2])
+        r = np.array([1.0, -2.0, 0.5])
+        np.testing.assert_array_equal(objective._transpose_times(r, x),
+                                      np.append(matrix.T @ r + 0.5 * x[:2], r.sum()))
+
+
+def _fit(X, y, l2):
+    """train_bow_logreg on the rows of a dense matrix: (w, b)."""
+    X = np.asarray(X, dtype=float)
+    index = {f"t{col}": col for col in range(X.shape[1])}
+    model = train_bow_logreg(sparse_features(X), y, index, l2_strength=l2)
+    return model.weights, model.intercept
+
+
+def _count_data(seed: int, n: int = 60, terms: int = 40):
+    """Sparse term counts whose labels follow a few terms, with label noise."""
+    rng = np.random.default_rng(seed)
+    X = rng.poisson(0.15, size=(n, terms)).astype(float)
+    y = (X @ rng.standard_normal(terms) + 0.5 * rng.standard_normal(n) > 0).astype(float)
+    return X, y
 
 
 class TestLogisticFit:
     def test_separable_two_points(self):
+        # separable data has no minimizer without the penalty, so l2 > 0
         X = np.array([[1.0], [-1.0]])
         y = np.array([1.0, 0.0])
-        w, b, _ = fit_logistic_gd(X, y, l2_strength=0.0, max_iter=5000)
+        w, b = _fit(X, y, l2=1e-4)
         scores = 1.0 / (1.0 + np.exp(-(X @ w + b)))
         assert ((scores >= 0.5).astype(float) == y).all()
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="each class"):
-            fit_logistic_gd(np.ones((3, 2)), np.ones(3))
+            _fit(np.ones((3, 2)), np.ones(3), l2=1e-3)
+
+    @pytest.mark.parametrize("l2", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_l2_must_be_positive(self, l2):
+        with pytest.raises(ValueError, match="l2_strength"):
+            _fit(np.eye(2), [1, 0], l2=l2)
+
+    def test_column_outside_vocabulary_rejected(self):
+        with pytest.raises(ValueError, match="columns"):
+            train_bow_logreg([{0: 1.0}, {2: 1.0}], [1, 0], {"a": 0, "b": 1})
 
     def test_stronger_l2_shrinks_weights(self):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((40, 3))
         y = (X[:, 0] > 0).astype(float)
-        w_weak, _, _ = fit_logistic_gd(X, y, l2_strength=1e-3)
-        w_strong, _, _ = fit_logistic_gd(X, y, l2_strength=1e6)
+        w_weak, _ = _fit(X, y, l2=1e-3)
+        w_strong, _ = _fit(X, y, l2=1e6)
         assert np.linalg.norm(w_strong) < np.linalg.norm(w_weak)
 
     def test_gradient_matches_finite_differences(self):
@@ -141,32 +187,61 @@ class TestLogisticFit:
         X = rng.standard_normal((12, 4))
         y = (rng.random(12) > 0.5).astype(float)
         l2 = 0.01
-        w0 = rng.standard_normal(4) * 0.5
-        b0 = 0.3
-        n = len(y)
-        p = 1.0 / (1.0 + np.exp(-(X @ w0 + b0)))
-        analytic = np.concatenate([X.T @ (p - y) / n + l2 * w0, [np.mean(p - y)]])
+        x0 = np.append(rng.standard_normal(4) * 0.5, 0.3)
+        analytic = _Logistic(sparse_features(X), y, 4, l2).gradient(x0)
+        np.testing.assert_allclose(analytic, logistic_gradient(X, y, x0[:-1], x0[-1], l2),
+                                   rtol=1e-12, atol=1e-15)
 
         def loss_at(packed):
             return logistic_loss(X, y, packed[:-1], packed[-1], l2)
 
-        numeric = central_difference_gradient(loss_at, np.concatenate([w0, [b0]]))
+        numeric = central_difference_gradient(loss_at, x0)
         assert relative_gradient_error(analytic, numeric) < 1e-5
 
+    def test_hessian_product_matches_finite_differences(self):
+        rng = np.random.default_rng(16)
+        X, y = _count_data(16, n=20, terms=6)
+        l2 = 0.05
+        objective = _Logistic(sparse_features(X), y, 6, l2)
+        x0, v = rng.standard_normal(7) * 0.3, rng.standard_normal(7)
+        objective.gradient(x0)
+        analytic = objective.hessian_times(v)
+        h = 1e-6
+        numeric = (logistic_gradient(X, y, x0[:-1] + h * v[:-1], x0[-1] + h * v[-1], l2)
+                   - logistic_gradient(X, y, x0[:-1] - h * v[:-1], x0[-1] - h * v[-1], l2)
+                   ) / (2 * h)
+        assert relative_gradient_error(analytic, numeric) < 1e-6
+
     def test_loss_decreases_monotonically(self):
-        rng = np.random.default_rng(21)
-        X = rng.standard_normal((30, 3))
-        y = (X @ np.array([1.0, -2.0, 0.5]) > 0).astype(float)
-        losses = []
-        w = np.zeros(3)
-        b = 0.0
-        step = 1.0 / (0.25 * float(np.mean(np.sum(X * X, axis=1) + 1)) + 0.01)
-        for _ in range(50):
-            losses.append(logistic_loss(X, y, w, b, 0.01))
-            p = 1.0 / (1.0 + np.exp(-(X @ w + b)))
-            w = w - step * (X.T @ (p - y) / len(y) + 0.01 * w)
-            b = b - step * float(np.mean(p - y))
-        assert all(a >= b_ for a, b_ in zip(losses, losses[1:]))
+        X, y = _count_data(21)
+        objective = _Logistic(sparse_features(X), y, X.shape[1], 0.01)
+        losses = [logistic_loss(X, y, x[:-1], x[-1], 0.01)
+                  for x, _ in itertools.islice(_newton_iterates(objective), 6)]
+        assert all(a >= b for a, b in zip(losses, losses[1:])) and losses[0] > losses[-1]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_converges_to_below_tol_and_gradient_descent(self, seed):
+        X, y = _count_data(seed)
+        l2 = 1e-3
+        w, b = _fit(X, y, l2)
+        assert np.linalg.norm(logistic_gradient(X, y, w, b, l2)) < baselines.TOL
+        w_gd, b_gd = gradient_descent_logistic(X, y, l2, steps=10_000)
+        assert logistic_loss(X, y, w, b, l2) <= logistic_loss(X, y, w_gd, b_gd, l2)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        X, y = _count_data(4)
+        monkeypatch.setattr(baselines, "TOL", 1e-300)
+        monkeypatch.setattr(baselines, "MAX_NEWTON_STEPS", 2)
+        with pytest.raises(TrainingError, match="did not converge in 2 Newton steps"):
+            _fit(X, y, 1e-3)
+
+    def test_iteration_count_logged(self, caplog):
+        X, y = _count_data(5)
+        with caplog.at_level(logging.DEBUG, logger="milsent.baselines"):
+            _fit(X, y, 1e-3)
+        (record,) = [r for r in caplog.records if r.name == "milsent.baselines"]
+        assert record.getMessage().startswith("bow logreg converged in")
+        assert 1 <= record.args[0] < baselines.MAX_NEWTON_STEPS
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)

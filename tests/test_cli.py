@@ -611,6 +611,20 @@ class TestEvaluate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["methods"]["mil"]["accuracy"] == 1.0
 
+    @pytest.mark.parametrize("entries", [
+        ["mil={perfect}", "mil={gold}"],
+        ["{perfect}", "perfect={mixed}"],
+    ])
+    def test_repeated_method_name_is_usage_error(self, tmp_path, capsys, entries):
+        gold, perfect, mixed = evaluation_files(tmp_path)
+        paths = {"gold": gold, "perfect": perfect, "mixed": mixed}
+        out = tmp_path / "report.txt"
+        argv = [entry.format(**paths) for entry in entries]
+        assert main(["evaluate", str(gold), *argv, "--out", str(out)]) == 2
+        name = argv[1].partition("=")[0]
+        assert f"method name {name!r} given twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mismatched_sentence_counts_fail(self, tmp_path, capsys):
         gold, perfect, _ = evaluation_files(tmp_path)
         bad = tmp_path / "bad.jsonl"
@@ -725,6 +739,45 @@ class TestRender:
         }])
         assert main(["render", str(path), "doc1"]) == 2
         assert "predict" in capsys.readouterr().err
+
+
+NUMPY_PROBE = """
+import sys
+from milsent.cli import main
+code = main(sys.argv[1:])
+print(code, any(name in sys.modules for name in ("numpy._core", "numpy.core")))
+"""
+
+
+def _executes_numpy(*argv) -> bool:
+    """Whether `milsent ARGV`, run alone in a new interpreter, executes
+    numpy; the command must succeed."""
+    src = str(Path(milsent.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *map(str, argv)],
+                          env={**os.environ, "PYTHONPATH": src}, check=True,
+                          capture_output=True, text=True)
+    code, executed = done.stdout.split()[-2:]
+    assert code == "0", done.stderr
+    return executed == "True"
+
+
+class TestNumpyOnFirstUse:
+    def test_only_the_numeric_stages_execute_numpy(self, tmp_path):
+        raw, processed = news_corpus(tmp_path), tmp_path / "processed.jsonl"
+        cfg = write_config(tmp_path / "demo.cfg")
+        corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=10)
+        model, predicted = tmp_path / "model.json", tmp_path / "pred.jsonl"
+        gold, perfect, _ = evaluation_files(tmp_path)
+        assert not _executes_numpy("--version")
+        assert not _executes_numpy("preprocess", raw, processed, "--config", cfg)
+        assert _executes_numpy("train", corpus, vectors, model, "--embedding-format",
+                               "sentence", "--epochs", "1")
+        assert _executes_numpy("predict", model, corpus, vectors, predicted,
+                               "--embedding-format", "sentence")
+        assert not _executes_numpy("evaluate", gold, f"mil={perfect}", "--mode", "sentence")
+        assert not _executes_numpy("evaluate", corpus, f"mil={predicted}", "--mode", "document",
+                                   "--out", tmp_path / "report.txt")
+        assert not _executes_numpy("render", predicted, "g000", "--format", "html")
 
 
 class TestConfigFile:

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -72,6 +73,36 @@ class TestLoadCorpus:
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(CorpusError, match="cannot read"):
             load_corpus(tmp_path / "missing.jsonl")
+
+
+class TestAtomicSave:
+    def test_failure_mid_corpus_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.jsonl"
+        docs = [make_doc(f"d{i}") for i in range(4)]
+        save_corpus(docs[:1], path)
+        before = path.read_bytes()
+        real_record_of = corpus._record_of
+
+        def fail_on_d2(doc):
+            if doc.id == "d2":
+                raise OSError("No space left on device")
+            return real_record_of(doc)
+
+        monkeypatch.setattr(corpus, "_record_of", fail_on_d2)
+        with pytest.raises(OSError, match="No space left"):
+            save_corpus(docs, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
+
+    def test_replaces_the_old_file_whole(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_corpus([make_doc("old")], path)
+        save_corpus([make_doc("new1"), make_doc("new2")], path)
+        assert [d.id for d in load_corpus(path)] == ["new1", "new2"]
+        assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
+
+    def test_special_file_written_in_place(self):
+        save_corpus([make_doc("d1")], Path(os.devnull))
 
 
 class TestRoundTrip:
@@ -398,9 +429,9 @@ class TestReaderFuzz:
 
 
 def test_logistic_fit_leaves_numpy_ma_unloaded():
-    code = ("import sys, numpy as np\n"
-            "from milsent.baselines import fit_logistic_gd\n"
-            "fit_logistic_gd(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), max_iter=5)\n"
+    code = ("import sys\n"
+            "from milsent.baselines import train_bow_logreg\n"
+            "train_bow_logreg([{0: 0.0}, {0: 1.0}], [0, 1], {'a': 0})\n"
             "print('numpy.ma' in sys.modules)")
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -68,6 +69,35 @@ class TestLoadEmbeddings:
         store = load_sentence_embeddings(path)
         assert store.dim == 2
         np.testing.assert_array_equal(store.vectors["d1:0"], [0.5, 0.5])
+
+
+VECTOR_FIELDS = st.sampled_from(
+    ["a", "d1:0", "1", "-2.5", "0", "-0", "1e-400", "1_0", "0x10", "nan", "inf", "1e999",
+     "x", "é", "\x00", "\x85", "\u2028", "\r", "\x0c", ""])
+VECTOR_LINES = st.lists(
+    st.lists(st.tuples(VECTOR_FIELDS, st.sampled_from([" ", "\t", "  ", ""])), max_size=5)
+    .map(lambda fields: "".join(text + sep for text, sep in fields)),
+    max_size=5)
+
+
+class TestReaderFuzz:
+    """Any vector file loads into a consistent store or raises an
+    EmbeddingError that names the file and the line."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(lines=VECTOR_LINES, tail=st.sampled_from([b"", b"\n", b"\xff", b"\xc3"]),
+           loader=st.sampled_from([load_embeddings, load_sentence_embeddings]))
+    def test_loads_or_names_the_line(self, tmp_path_factory, lines, tail, loader):
+        path = tmp_path_factory.mktemp("vectors") / "v.txt"
+        path.write_bytes("\n".join(lines).encode("utf-8") + tail)
+        try:
+            store = loader(path)
+        except EmbeddingError as exc:
+            assert re.match(re.escape(f"{path}: ") + r"(line \d+: .|empty file)", str(exc)), exc
+            return
+        assert store.dim > 0 and len(store) > 0
+        for vector in store.vectors.values():
+            assert vector.shape == (store.dim,) and np.all(np.isfinite(vector))
 
 
 def word_store():

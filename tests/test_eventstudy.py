@@ -1,3 +1,5 @@
+import math
+import re
 from datetime import date, timedelta
 
 import numpy as np
@@ -54,6 +56,45 @@ class TestPriceSeries:
         write_price_csv(path, list(zip(days, [100.0, 101.5])))
         loaded = load_price_series(path, "X")
         assert loaded.observations == ((days[0], 100.0), (days[1], 101.5))
+
+
+PRICE_FIELDS = st.sampled_from(
+    ["2005-01-03", "2005-01-04", "2005-01-02", "2005-13-01", "20050105", "2005-W01-1",
+     "1.5", "100", "0", "-1", "nan", "inf", "1e999", "abc", " ", '"', "\x00", "\r", ""])
+PRICE_ROWS = st.lists(st.lists(PRICE_FIELDS, max_size=3).map(",".join), max_size=6)
+
+
+class TestReaderFuzz:
+    """Any price file loads into a valid series or raises an
+    EventStudyError that names the file and the row."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(rows=PRICE_ROWS, header=st.sampled_from(["date,close", "Date , Close,x", ""]),
+           tail=st.sampled_from([b"", b"\n", b"\xff"]))
+    def test_loads_or_names_the_row(self, tmp_path_factory, rows, header, tail):
+        path = tmp_path_factory.mktemp("prices") / "X.csv"
+        path.write_bytes("\n".join([header, *rows]).encode("utf-8") + tail)
+        try:
+            loaded = load_price_series(path, "X")
+        except EventStudyError as exc:
+            assert re.match(re.escape(f"{path}: ") + r"(row|line) \d+: .", str(exc)), exc
+            return
+        days = [day for day, _ in loaded.observations]
+        assert days == sorted(set(days))
+        assert all(0 < close < math.inf for _, close in loaded.observations)
+
+    def test_date_out_of_order_names_the_row(self, tmp_path):
+        path = tmp_path / "X.csv"
+        path.write_text("date,close\n2005-01-04,1.0\n2005-01-04,2.0\n")
+        with pytest.raises(EventStudyError,
+                           match=r"X.csv: row 3: date 2005-01-04 does not follow 2005-01-04"):
+            load_price_series(path, "X")
+
+    def test_non_positive_close_names_the_row(self, tmp_path):
+        path = tmp_path / "X.csv"
+        path.write_text("date,close\n2005-01-03,1.0\n2005-01-04,0\n")
+        with pytest.raises(EventStudyError, match=r"X.csv: row 3: close 0.0 is not positive"):
+            load_price_series(path, "X")
 
 
 class TestSimpleReturns:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from milsent import mil
 from milsent.corpus import CorpusError
@@ -451,8 +452,34 @@ class TestToMilDataset:
         dataset = to_mil_dataset(docs, X)
         (first, _), (second, _) = dataset.groups
         assert first[:, 0].tolist() == [0.5, 1.5, 2.5] and second[:, 0].tolist() == [3.5, 4.5]
-        # the rows are copied once into the dataset's own matrix
-        assert not np.shares_memory(dataset.X, X)
+        # the dataset holds the given matrix and views of it, no copy
+        assert np.shares_memory(dataset.X, X)
+        assert all(np.shares_memory(matrix, X) for matrix, _ in dataset.groups)
+
+    def test_keeps_the_matrix_it_is_given(self):
+        # 500 documents of 20 sentences, 100-d: X is 8 MB; a copy of it
+        # would allocate as much again
+        docs, X = _embedded_corpus([20] * 500, dim=100)
+        tracemalloc.start()
+        try:
+            dataset = to_mil_dataset(docs, X)
+            allocated = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(dataset.X, X)
+        assert allocated < 0.1 * X.nbytes
+
+    def test_blocks_out_of_order_or_of_other_matrices_are_copied(self):
+        X = np.arange(12.0).reshape(6, 2)
+        for groups in (((X[2:], 1), (X[:2], 0)),          # out of order
+                       ((X[:2], 1), (X[3:], 0)),          # a row skipped
+                       ((X[:2], 1), (X[2:4].copy(), 0))):  # another matrix
+            dataset = MilDataset(groups=groups, dim=2)
+            assert not np.shares_memory(dataset.X, X)
+            np.testing.assert_array_equal(dataset.X, np.concatenate([m for m, _ in groups]))
+        whole = MilDataset(groups=((X[:1], 1), (X[1:], 0)), dim=2)
+        assert np.shares_memory(whole.X, X)
+        np.testing.assert_array_equal(whole.X, X)
 
     def test_row_count_mismatch(self):
         docs, X = _embedded_corpus([2, 3])
@@ -618,6 +645,16 @@ class TestPrediction:
     def test_empty_group(self):
         with pytest.raises(ValueError):
             sentence_scores(model_of(np.zeros(2), dim=1), np.zeros((0, 1)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.49999999999999994, 0.5, 0.7, 0.9, 1.0])
+                    | st.floats(0.0, 1.0), min_size=1, max_size=40))
+    def test_vote_equals_naive_recount(self, scores):
+        labels = [1 if score >= 0.5 else 0 for score in scores]
+        expected = naive_document_vote(scores)
+        assert document_vote(labels, scores) == expected
+        # arrays, as `document_accuracy` passes them, vote alike
+        assert document_vote(np.array(labels), np.array(scores)) == expected
 
 
 class TestGridSearch:

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from milsent import preprocess
 from milsent.preprocess import (
     DATE,
     NUM_POS,
@@ -184,6 +186,25 @@ class TestFilterCorpus:
         ids = [d.id for d in docs]
         kept_ids = [d.id for d in kept]
         assert kept_ids == [i for i in ids if i in set(kept_ids)]
+
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(st.integers(0, 400) | st.floats(-1e300, 1e300), min_size=1,
+                           max_size=60),
+           q=st.sampled_from([0.0, 0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99, 1.0])
+           | st.floats(0.0, 1.0))
+    def test_quantile_is_numpy_quantile_to_the_bit(self, values, q):
+        expected = np.quantile(np.array(values, dtype=float), q)
+        assert preprocess._quantile(sorted(values), q) == expected
+
+    def test_kept_documents_match_a_numpy_quantile_trim(self):
+        counts = [(i * 37) % 200 + 1 for i in range(200)]  # 1..200, shuffled
+        docs = [_doc_with_sentences(f"d{i}", n, words_per_sentence=1)
+                for i, n in enumerate(counts)]
+        config = PreprocessConfig(min_doc_words=1, length_percentile=0.03)
+        lo, hi = np.quantile(np.array(counts, dtype=float), [0.03, 0.97])
+        kept = filter_corpus(docs, config)
+        assert [d.id for d in kept] == [d.id for d, n in zip(docs, counts) if lo <= n <= hi]
+        assert 0 < len(kept) < len(docs)
 
     def test_percentile_validation(self):
         with pytest.raises(ValueError):
