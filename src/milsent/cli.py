@@ -333,8 +333,12 @@ def cmd_train(args) -> int:
     config = _train_config(args)
     docs = load_corpus(args.corpus_in)
     store = _build_store(args)
-    dataset = mil.to_mil_dataset(docs, embed.embed_matrix(docs, store))
-    zero_vectors = _zero_vectors(dataset.X)
+    X = embed.embed_matrix(docs, store)
+    try:
+        dataset = mil.to_mil_dataset(docs, X)
+    except CorpusError as exc:
+        raise CorpusError(f"{args.corpus_in}: {exc}") from exc
+    zero_vectors = _zero_vectors(X)
     if args.gamma == "median":
         config = replace(config, kernel_gamma=mil.median_heuristic_gamma(dataset, seed=args.seed))
         _eprint(f"median-heuristic gamma: {config.kernel_gamma:.6g}")
@@ -396,25 +400,6 @@ def cmd_train(args) -> int:
 # ------------------------------------------------------------------- predict
 
 
-def _stacked_scores(model: mil.MilModel, X: np.ndarray, counts: np.ndarray, docs) -> np.ndarray:
-    """The scores of the rows of X, document i's counts[i] rows after those
-    of the documents before it: one stacked product per chunk of documents
-    with equal sentence counts, each document's scores bit-identical to
-    scoring its rows alone. An overflowing score names the first document,
-    in corpus order, that has one."""
-    scores = np.empty(len(X))
-    errors = []
-    for chunk, index in embed.rows_by_count(counts):
-        try:
-            scores[index] = mil.sentence_scores(model, X[index])
-        except mil.ScoreError as exc:
-            errors.append((int(chunk[exc.index[0]]), exc))
-    if errors:
-        first, exc = min(errors, key=lambda error: error[0])
-        raise ValueError(f"document {docs[first].id}: {exc}") from exc
-    return scores
-
-
 def cmd_predict(args) -> int:
     _require_file(args.model, "model file")
     _require_file(args.corpus_in, "input corpus")
@@ -434,7 +419,10 @@ def cmd_predict(args) -> int:
         zero_vectors = _zero_vectors(X)
         counts = np.fromiter((len(doc.sentences) for doc in docs), dtype=np.intp,
                              count=len(docs))
-        all_scores = _stacked_scores(model, X, counts, docs)
+        try:
+            all_scores = mil.group_scores(model, X, counts)
+        except mil.ScoreError as exc:
+            raise ValueError(f"document {docs[exc.index[0]].id}: {exc}") from exc
         all_labels = mil.sentence_labels(all_scores).tolist()
         all_scores = all_scores.tolist()
         lo = 0

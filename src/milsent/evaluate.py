@@ -37,10 +37,6 @@ class EvalReport:
     recall_defined: bool = True
     f1_defined: bool = True
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn + self.neutral
-
     def to_dict(self) -> dict:
         return {
             "accuracy": self.accuracy,

@@ -1,15 +1,15 @@
 """Multi-instance training of a sentence-level logistic classifier.
 
-Groups of sentence vectors carry one binary label each. A `MilDataset`
-holds them stacked once, when it is built, into one n x d matrix `X` with
-one label and one size per group, and each entry of its `groups` is a view
-of `X`. `to_mil_dataset` builds it from a corpus and the corpus's
-`embed.embed_matrix` rows, one group per document. The loss, its gradient
-and training read that layout directly, and a minibatch gathers its groups'
-rows out of the stacked matrix. The training loss couples two pressures: an
-RBF-similarity weighted penalty on score differences between similar
-instances, averaged over all ordered instance pairs, and a squared error
-between each group's mean instance score and its label, weighted by `lam`.
+Groups of sentence vectors carry one binary label each. A `MilDataset` is
+one n x d matrix `X` of every instance, group after group, with one size
+and one label per group; `to_mil_dataset` builds it from a corpus and the
+corpus's `embed.embed_matrix` rows, one group per document, without
+copying them. The loss, its gradient and training read that layout
+directly, and a minibatch gathers its groups' rows out of `X`. The
+training loss couples two pressures: an RBF-similarity weighted penalty on
+score differences between similar instances, averaged over all ordered
+instance pairs, and a squared error between each group's mean instance
+score and its label, weighted by `lam`.
 Minimized by SGD with classical momentum over group minibatches; the
 pair/group normalizers are re-read as batch counts on every step. The
 pairwise RBF kernel is streamed over blocks of rows and never held whole,
@@ -21,9 +21,11 @@ scores after every epoch and traces the exact full-data loss of all epochs
 in a single sweep at the end, not one sweep per epoch.
 
 Prediction has one path: `sentence_scores` scores an instance matrix or a
-stack of equal-sized groups, `sentence_labels` applies the 0.5 rule and
-`document_vote` takes the majority. `document_accuracy` and the `predict`
-command both use it.
+stack of equal-sized groups, `group_scores` scores consecutive groups of
+any sizes through such stacks, `sentence_labels` applies the 0.5 rule and
+`document_vote` takes the majority. `document_accuracy`, which
+`grid_search` and the `train` command report, and the `predict` command
+all score through `group_scores`.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 from milsent._lazy import lazy_numpy
 from milsent.corpus import CorpusError, Document, NEGATIVE, POSITIVE, atomic_write
+from milsent.embed import rows_by_count
 
 np = lazy_numpy()
 
@@ -110,93 +113,78 @@ class MilModel:
         object.__setattr__(self, "theta", theta)
 
 
-def _block_owner(matrices: list, shape: tuple[int, int]):
-    """The float matrix of `shape` whose consecutive row blocks, first to
-    last, are exactly `matrices`, as a view of the C-ordered array that
-    holds them and nothing else; None if there is no such array."""
-    base = matrices[0].base if matrices else None
-    if not (isinstance(base, np.ndarray) and base.size == shape[0] * shape[1]
-            and base.dtype == float and base.flags.c_contiguous):
-        return None
-    start = base.__array_interface__["data"][0]
-    for matrix in matrices:
-        if (matrix.base is not base or not matrix.flags.c_contiguous
-                or matrix.__array_interface__["data"][0] != start):
-            return None
-        start += matrix.nbytes
-    return base if base.shape == shape else base.reshape(shape)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MilDataset:
-    """Groups of instance vectors with binary group labels, stacked once.
+    """Groups of instance vectors with binary group labels, stacked.
 
-    `X` holds every instance, n x dim, group after group; `labels` and
-    `sizes` hold one entry per group. Each entry of `groups` is (a view of
-    X, label). Float matrices that are consecutive row blocks of one
-    C-ordered n x dim matrix, as `to_mil_dataset` passes them, stay views
-    and that matrix becomes X; any other matrices are copied into a new X.
+    `X` holds every instance, n x dim, group after group: group i is the
+    `sizes[i]` rows after those of the groups before it, with label
+    `labels[i]`. A float X is kept as given, with no copy.
     """
 
-    groups: tuple[tuple[np.ndarray, int], ...]
-    dim: int
-    X: np.ndarray = field(init=False, repr=False, compare=False)
-    labels: np.ndarray = field(init=False, repr=False, compare=False)
-    sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    X: np.ndarray
+    sizes: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
-        matrices, labels = [], []
-        for matrix, label in self.groups:
-            matrix = np.asarray(matrix, dtype=float)
-            if matrix.ndim != 2 or matrix.shape[0] == 0:
-                raise CorpusError("every group must be a non-empty instance matrix")
-            if matrix.shape[1] != self.dim:
-                raise CorpusError(
-                    f"group dimension {matrix.shape[1]} != dataset dimension {self.dim}"
-                )
-            if label not in (POSITIVE, NEGATIVE):
-                raise CorpusError("group labels must be 0 or 1")
-            matrices.append(matrix)
-            labels.append(int(label))
-        sizes = np.array([len(matrix) for matrix in matrices], dtype=np.intp)
-        X = _block_owner(matrices, (int(sizes.sum()), self.dim))
-        if X is None:
-            X = np.concatenate(matrices) if matrices else np.empty((0, self.dim))
-            matrices = np.split(X, np.cumsum(sizes)[:-1])
+        X = np.asarray(self.X, dtype=float)
+        sizes = np.asarray(self.sizes, dtype=np.intp)
+        labels = np.asarray(self.labels)
+        if X.ndim != 2:
+            raise CorpusError(f"the instances must be a 2-d matrix, got shape {X.shape}")
+        if sizes.ndim != 1 or sizes.shape != labels.shape:
+            raise CorpusError(f"{sizes.size} group sizes but {labels.size} group labels")
+        if not len(sizes):
+            raise CorpusError("a dataset needs at least one group")
+        if sizes.min() < 1:
+            raise CorpusError("every group must hold at least one instance")
+        if sizes.sum() != len(X):
+            raise CorpusError(f"the group sizes sum to {sizes.sum()} but there are "
+                              f"{len(X)} instances")
+        if not np.all((labels == POSITIVE) | (labels == NEGATIVE)):
+            raise CorpusError("group labels must be 0 or 1")
         _set = object.__setattr__
-        _set(self, "groups", tuple(zip(matrices, labels)))
         _set(self, "X", X)
-        _set(self, "labels", np.array(labels, dtype=np.intp))
         _set(self, "sizes", sizes)
+        _set(self, "labels", labels.astype(np.intp))
+
+    @property
+    def dim(self) -> int:
+        return self.X.shape[1]
 
     @property
     def n_groups(self) -> int:
-        return len(self.groups)
+        return len(self.sizes)
 
     @property
     def n_instances(self) -> int:
         return len(self.X)
 
+    @property
+    def groups(self) -> tuple[tuple[np.ndarray, int], ...]:
+        """(view of X, label) per group."""
+        return tuple(zip(np.split(self.X, np.cumsum(self.sizes)[:-1]), self.labels.tolist()))
+
 
 def to_mil_dataset(corpus: Sequence[Document], X: np.ndarray) -> MilDataset:
     """One group per document, in corpus order: the document's rows of X and
     its label. X holds one row per sentence of the corpus, in corpus order,
-    as `embed.embed_matrix` returns it. Every document must carry a label
-    and at least one sentence. A C-ordered float X, as `embed_matrix`
-    returns it, becomes the dataset's own `X` and its groups are views of
-    it: no row is copied. Any other X is converted and copied once."""
+    as `embed.embed_matrix` returns it, and a float X becomes the dataset's
+    own `X`: no row is copied. The corpus must hold a document, and every
+    document must carry a label and at least one sentence."""
     X = np.asarray(X, dtype=float)
     sizes = [len(doc.sentences) for doc in corpus]
     if X.ndim != 2 or len(X) != sum(sizes):
         raise CorpusError(f"the corpus has {sum(sizes)} sentences but the embedding "
                           f"matrix has shape {X.shape}")
+    if not corpus:
+        raise CorpusError("no documents to train on")
     for doc in corpus:
         if doc.label is None:
             raise CorpusError(f"document {doc.id} has no label")
         if not doc.sentences:
             raise CorpusError(f"document {doc.id} has no sentences")
-    groups = zip(np.split(X, np.cumsum(sizes)[:-1]), (doc.label for doc in corpus))
-    return MilDataset(groups=tuple(groups), dim=X.shape[1])
+    return MilDataset(X, sizes, [doc.label for doc in corpus])
 
 
 def sigmoid(z):
@@ -208,13 +196,6 @@ def sigmoid(z):
     ez = np.exp(arr[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out if out.ndim else float(out)
-
-
-def _stacked(dataset: MilDataset):
-    """(X, labels, sizes) of a dataset that has at least one group."""
-    if not dataset.n_groups:
-        raise ValueError("empty batch")
-    return dataset.X, dataset.labels, dataset.sizes
 
 
 def _linear_scores(theta: np.ndarray, use_bias: bool, X: np.ndarray) -> np.ndarray:
@@ -255,6 +236,27 @@ def sentence_scores(model: MilModel, X) -> np.ndarray:
         index = tuple(bad[0].tolist())
         raise ScoreError(f"row {index[-1]}: linear score {z[index]} is not finite", index)
     return sigmoid(z)
+
+
+def group_scores(model: MilModel, X, sizes) -> np.ndarray:
+    """The scores of the rows of X, group i's sizes[i] rows (possibly none)
+    after those of the groups before it: one stacked product per
+    `rows_by_count` chunk of groups of equal size, each group's scores
+    bit-identical to scoring its rows alone. An overflowing score is a
+    `ScoreError` indexed (group, row) at the first group, in order, that
+    has one."""
+    scores = np.empty(len(X))
+    first = None
+    for chunk, index in rows_by_count(sizes):
+        try:
+            scores[index] = sentence_scores(model, X[index])
+        except ScoreError as exc:
+            group = int(chunk[exc.index[0]])
+            if first is None or group < first.index[0]:
+                first = ScoreError(str(exc), (group, exc.index[1]))
+    if first is not None:
+        raise first
+    return scores
 
 
 def sentence_labels(scores) -> np.ndarray:
@@ -339,11 +341,6 @@ def _losses(X, S, labels, sizes, lam, gamma) -> np.ndarray:
     return pairwise / (n * n) + lam * group_sq / len(labels)
 
 
-def _loss(theta, use_bias, X, labels, sizes, lam, gamma) -> float:
-    s = _raw_scores(theta, use_bias, X)
-    return float(_losses(X, s[:, None], labels, sizes, lam, gamma)[0])
-
-
 def _gradient(theta, use_bias, X, labels, sizes, lam, gamma) -> np.ndarray:
     s = _raw_scores(theta, use_bias, X)
     n = len(s)
@@ -358,12 +355,14 @@ def _gradient(theta, use_bias, X, labels, sizes, lam, gamma) -> np.ndarray:
 
 def loss(model: MilModel, dataset: MilDataset, lam: float, gamma: float) -> float:
     """Training objective over a dataset, normalizers read from the dataset."""
-    return _loss(model.theta, model.config.use_bias, *_stacked(dataset), lam, gamma)
+    s = _raw_scores(model.theta, model.config.use_bias, dataset.X)
+    return float(_losses(dataset.X, s[:, None], dataset.labels, dataset.sizes, lam, gamma)[0])
 
 
 def gradient(model: MilModel, dataset: MilDataset, lam: float, gamma: float) -> np.ndarray:
     """Closed-form derivative of `loss` with respect to theta."""
-    return _gradient(model.theta, model.config.use_bias, *_stacked(dataset), lam, gamma)
+    return _gradient(model.theta, model.config.use_bias, dataset.X, dataset.labels,
+                     dataset.sizes, lam, gamma)
 
 
 @dataclass(frozen=True)
@@ -380,7 +379,8 @@ def train(dataset: MilDataset, config: TrainConfig | None = None) -> TrainResult
     bit-identical parameters.
     """
     config = config or TrainConfig()
-    X, labels, sizes = _stacked(dataset)
+    X, labels, sizes = dataset.X, dataset.labels, dataset.sizes
+    groups = np.split(X, np.cumsum(sizes)[:-1])
     rng = np.random.default_rng(config.seed)
     n_params = dataset.dim + (1 if config.use_bias else 0)
     theta = rng.uniform(-0.01, 0.01, size=n_params)
@@ -396,7 +396,7 @@ def train(dataset: MilDataset, config: TrainConfig | None = None) -> TrainResult
         rng.shuffle(order)
         for batch_no, lo in enumerate(range(0, len(order), config.groups_per_batch)):
             picked = order[lo : lo + config.groups_per_batch]
-            rows = np.concatenate([dataset.groups[i][0] for i in picked])
+            rows = np.concatenate([groups[i] for i in picked])
             grad = _gradient(theta, config.use_bias, rows, labels[picked], sizes[picked],
                              lam, gamma)
             if not np.all(np.isfinite(grad)):
@@ -415,13 +415,14 @@ def train(dataset: MilDataset, config: TrainConfig | None = None) -> TrainResult
 
 
 def document_accuracy(model: MilModel, dataset: MilDataset) -> float:
-    """Fraction of groups whose `document_vote` matches the group label. Each
-    group is scored alone, as `predict` scores a document."""
-    _stacked(dataset)  # an empty dataset is an error, as in training
-    hits = 0
-    for matrix, label in dataset.groups:
-        scores = sentence_scores(model, matrix)
-        hits += document_vote(sentence_labels(scores), scores)[0] == label
+    """Fraction of groups whose `document_vote` matches the group label, the
+    groups scored by `group_scores` as `predict` scores documents."""
+    scores = group_scores(model, dataset.X, dataset.sizes)
+    labels, scores = sentence_labels(scores).tolist(), scores.tolist()
+    hits = lo = 0
+    for k, label in zip(dataset.sizes.tolist(), dataset.labels.tolist()):
+        hits += document_vote(labels[lo:lo + k], scores[lo:lo + k])[0] == label
+        lo += k
     return hits / dataset.n_groups
 
 
@@ -468,7 +469,7 @@ def median_heuristic_gamma(
     dataset: MilDataset, max_pairs: int = 10_000, seed: int = 0
 ) -> float:
     """1 / median squared distance over a seeded sample of instance pairs."""
-    X = _stacked(dataset)[0]
+    X = dataset.X
     rng = np.random.default_rng(seed)
     n = len(X)
     i = rng.integers(0, n, size=max_pairs)
@@ -512,8 +513,7 @@ def generate_synthetic(
         raise ValueError("noise_fraction must be in [0, 1]")
     rng = np.random.default_rng(seed)
     direction = np.ones(dim) / np.sqrt(dim)
-    groups = []
-    truth = []
+    blocks, labels, truth = [], [], []
     for _ in range(n_groups):
         clusters = rng.integers(0, 2, size=instances_per_group)
         X = rng.standard_normal((instances_per_group, dim))
@@ -521,10 +521,11 @@ def generate_synthetic(
         votes = clusters.copy()
         flip = rng.random(instances_per_group) < noise_fraction
         votes[flip] = 1 - votes[flip]
-        label = POSITIVE if 2 * int(votes.sum()) >= instances_per_group else NEGATIVE
-        groups.append((X, label))
+        labels.append(POSITIVE if 2 * int(votes.sum()) >= instances_per_group else NEGATIVE)
+        blocks.append(X)
         truth.append(clusters)
-    return MilDataset(groups=tuple(groups), dim=dim), np.concatenate(truth)
+    dataset = MilDataset(np.concatenate(blocks), [instances_per_group] * n_groups, labels)
+    return dataset, np.concatenate(truth)
 
 
 def save_model(model: MilModel, path) -> None:
@@ -558,5 +559,5 @@ def load_model(path) -> MilModel:
             dim=int(record["dim"]),
             config=config,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, TrainingError) as exc:
         raise ModelFormatError(f"{path}: malformed model record: {exc}") from exc

@@ -10,7 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from milsent.corpus import Document, SentenceInstance
-from milsent.mil import document_vote, sentence_labels, sentence_scores
+from milsent.mil import MilDataset, document_vote, sentence_labels, sentence_scores
 
 
 def make_doc(doc_id="d1", ticker="AAA", when=date(2005, 5, 12), text="some text",
@@ -33,6 +33,12 @@ def make_sentence(text="a sentence", tokens=(), label=None, score=None):
         predicted_label=label,
         score=score,
     )
+
+
+def dataset_of(groups):
+    """The `MilDataset` of (instance matrix, label) pairs, stacked in order."""
+    matrices, labels = zip(*groups)
+    return MilDataset(np.concatenate(matrices), [len(m) for m in matrices], labels)
 
 
 def label_and_score(model, x):

@@ -305,6 +305,25 @@ class TestTrain:
         record = json.loads(model_path.read_text())
         assert record["dim"] == 12
 
+    @pytest.mark.parametrize("gamma", [[], ["--gamma", "median"]], ids=["fixed", "median"])
+    def test_empty_corpus_names_the_corpus(self, tmp_path, capsys, gamma):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        model_path = tmp_path / "model.json"
+        assert main(["train", str(empty), "hash", str(model_path), *gamma]) == 1
+        assert capsys.readouterr().err == f"error: {empty}: no documents to train on\n"
+        assert not model_path.exists()
+
+    def test_unlabelled_document_names_the_corpus(self, tmp_path, capsys):
+        corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=3)
+        records = [json.loads(line) for line in corpus.read_text().splitlines()]
+        del records[1]["label"]
+        write_jsonl(corpus, records)
+        rc = main(["train", str(corpus), str(vectors), str(tmp_path / "model.json"),
+                   "--embedding-format", "sentence"])
+        assert rc == 1
+        assert f"error: {corpus}: document g001 has no label" in capsys.readouterr().err
+
     def test_gamma_median_accepted(self, tmp_path, capsys):
         corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=10)
         model_path = tmp_path / "model.json"
@@ -494,6 +513,20 @@ class TestPredict:
         rc = main(["predict", str(bad), str(corpus), str(vectors), str(out),
                    "--embedding-format", "sentence"])
         assert rc == 2
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_theta_is_a_malformed_model(self, tmp_path, capsys, bad):
+        corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=5, dim=2)
+        model_path = tmp_path / "model.json"
+        save_model(MilModel(theta=np.ones(3), dim=2, config=TrainConfig()), model_path)
+        model_path.write_text(model_path.read_text().replace('"theta":[1.0,', f'"theta":[{bad},'))
+        out = tmp_path / "out.jsonl"
+        rc = main(["predict", str(model_path), str(corpus), str(vectors), str(out),
+                   "--embedding-format", "sentence"])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: {model_path}: malformed model record: "
+                                           "theta contains non-finite values\n")
+        assert not out.exists()
 
     def test_dim_mismatch_is_usage_error(self, tmp_path, capsys):
         corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=5, dim=8)

@@ -93,8 +93,8 @@ class TestScorePredictions:
         predicted = [1, 0, None, 1, None, 0]
         gold = [1, 1, 0, 0, 1, 0]
         report = score_predictions(predicted, gold)
-        assert report.total == len(gold)
-        assert report.neutral_rate + (report.tp + report.fp + report.tn + report.fn) / report.total == 1.0
+        assert report.tp + report.fp + report.tn + report.fn + report.neutral == len(gold)
+        assert report.neutral_rate + (report.tp + report.fp + report.tn + report.fn) / len(gold) == 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -122,7 +122,7 @@ class TestScorePredictions:
         for value in (report.accuracy, report.precision, report.recall, report.f1,
                       report.neutral_rate):
             assert 0.0 <= value <= 1.0
-        assert report.accuracy == (report.tp + report.tn) / report.total
+        assert report.accuracy == (report.tp + report.tn) / len(pairs)
 
 
 def _predicted_doc(doc_id, doc_label, sentence_labels):

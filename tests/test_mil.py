@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from milsent import mil
+from milsent import embed, mil
 from milsent.corpus import CorpusError
 from milsent.mil import (
     GridSpec,
@@ -20,6 +20,7 @@ from milsent.mil import (
     generate_synthetic,
     gradient,
     grid_search,
+    group_scores,
     load_model,
     loss,
     median_heuristic_gamma,
@@ -30,7 +31,7 @@ from milsent.mil import (
     to_mil_dataset,
     train,
 )
-from conftest import label_and_score, make_doc, make_sentence, vote_of
+from conftest import dataset_of, label_and_score, make_doc, make_sentence, vote_of
 from reference import (
     central_difference_gradient,
     naive_document_vote,
@@ -56,7 +57,7 @@ def random_batch(rng, n_groups=5, max_instances=4, dim=8, fixed_instances=None):
     for _ in range(n_groups):
         m = fixed_instances or int(rng.integers(1, max_instances + 1))
         groups.append((rng.standard_normal((m, dim)), int(rng.integers(0, 2))))
-    return MilDataset(groups=tuple(groups), dim=dim)
+    return dataset_of(groups)
 
 
 class TestSigmoid:
@@ -197,7 +198,7 @@ class TestLoss:
         assert loss(model, batch, 0.0, 1.0) == 0.0
 
     def test_single_positive_group_at_zero_theta(self):
-        batch = MilDataset(groups=((np.array([[1.0, 2.0], [0.0, -1.0]]), 1),), dim=2)
+        batch = MilDataset(np.array([[1.0, 2.0], [0.0, -1.0]]), [2], [1])
         model = model_of(np.zeros(3), dim=2)
         assert loss(model, batch, 10.0, 1.0) == 2.5
 
@@ -221,8 +222,9 @@ class TestLoss:
             assert loss(model, batch, float(rng.uniform(0, 20)), 1.0) >= 0.0
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            loss(model_of(np.zeros(9), dim=8), MilDataset(groups=(), dim=8), 1.0, 1.0)
+        # an empty batch cannot be built, so no loss can be asked of one
+        with pytest.raises(CorpusError, match="^a dataset needs at least one group$"):
+            MilDataset(np.empty((0, 8)), [], [])
 
     def test_no_bias_matches_naive(self):
         rng = np.random.default_rng(8)
@@ -237,7 +239,7 @@ class TestLoss:
         # same input vector in two different groups: any theta gives the
         # same score, so their pairwise term contribution is exactly zero
         x = np.array([0.4, -2.0, 1.0])
-        batch = MilDataset(groups=((x[None, :], 1), (x[None, :], 0)), dim=3)
+        batch = MilDataset(np.vstack([x, x]), [1, 1], [1, 0])
         rng = np.random.default_rng(0)
         for _ in range(5):
             model = model_of(rng.standard_normal(4), dim=3)
@@ -294,7 +296,7 @@ def batch_of_size(rng, n, dim=8, group_size=5):
     """Random groups of group_size instances, the last one shorter, n in all."""
     sizes = [group_size] * (n // group_size) + ([n % group_size] if n % group_size else [])
     groups = tuple((rng.standard_normal((m, dim)), int(rng.integers(0, 2))) for m in sizes)
-    return MilDataset(groups=groups, dim=dim)
+    return dataset_of(groups)
 
 
 # instance counts against the kernel's row block: several blocks with a
@@ -389,6 +391,12 @@ def test_groups_are_views_of_the_stacked_matrix(wide_dataset):
     assert all(np.shares_memory(matrix, wide_dataset.X) for matrix, _ in wide_dataset.groups)
     np.testing.assert_array_equal(wide_dataset.sizes, np.full(200, 10))
     assert wide_dataset.n_instances == len(wide_dataset.X) == 2000
+    X = np.arange(12.0).reshape(6, 2)
+    dataset = MilDataset(X, [1, 3, 2], [1, 0, 1])
+    assert [label for _, label in dataset.groups] == [1, 0, 1]
+    for (matrix, _), (lo, hi) in zip(dataset.groups, [(0, 1), (1, 4), (4, 6)]):
+        assert np.shares_memory(matrix, X)
+        np.testing.assert_array_equal(matrix, X[lo:hi])
 
 
 @pytest.mark.parametrize("call", ["train", "loss"])
@@ -469,18 +477,6 @@ class TestToMilDataset:
         assert np.shares_memory(dataset.X, X)
         assert allocated < 0.1 * X.nbytes
 
-    def test_blocks_out_of_order_or_of_other_matrices_are_copied(self):
-        X = np.arange(12.0).reshape(6, 2)
-        for groups in (((X[2:], 1), (X[:2], 0)),          # out of order
-                       ((X[:2], 1), (X[3:], 0)),          # a row skipped
-                       ((X[:2], 1), (X[2:4].copy(), 0))):  # another matrix
-            dataset = MilDataset(groups=groups, dim=2)
-            assert not np.shares_memory(dataset.X, X)
-            np.testing.assert_array_equal(dataset.X, np.concatenate([m for m, _ in groups]))
-        whole = MilDataset(groups=((X[:1], 1), (X[1:], 0)), dim=2)
-        assert np.shares_memory(whole.X, X)
-        np.testing.assert_array_equal(whole.X, X)
-
     def test_row_count_mismatch(self):
         docs, X = _embedded_corpus([2, 3])
         for bad in (X[:-1], np.vstack([X, X[:1]]), X[:, 0]):
@@ -495,10 +491,6 @@ class TestToMilDataset:
         with pytest.raises(CorpusError, match="document d1 has no sentences"):
             to_mil_dataset(*_embedded_corpus([2, 0, 1]))
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(CorpusError, match="group dimension 2 != dataset dimension 3"):
-            MilDataset(groups=((np.zeros((2, 3)), 1), (np.zeros((1, 2)), 0)), dim=3)
-
     def test_counts_preserved_across_corpus(self):
         rng = np.random.default_rng(5)
         sizes = rng.integers(1, 6, size=7).tolist()
@@ -509,8 +501,39 @@ class TestToMilDataset:
         assert dataset.labels.tolist() == labels and dataset.sizes.tolist() == sizes
 
     def test_empty_group_rejected(self):
-        with pytest.raises(CorpusError):
-            MilDataset(groups=((np.zeros((0, 3)), 1),), dim=3)
+        with pytest.raises(CorpusError, match="every group must hold at least one instance"):
+            MilDataset(np.zeros((0, 3)), [0], [1])
+
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(CorpusError, match="^no documents to train on$"):
+            to_mil_dataset([], np.empty((0, 4)))
+
+
+class TestMilDataset:
+    @pytest.mark.parametrize("X, sizes, labels, message", [
+        (np.zeros(3), [3], [1], r"the instances must be a 2-d matrix, got shape \(3,\)"),
+        (np.zeros((2, 2, 2)), [2], [1], r"must be a 2-d matrix, got shape \(2, 2, 2\)"),
+        (np.zeros((3, 2)), [1, 2], [1], "2 group sizes but 1 group labels"),
+        (np.zeros((3, 2)), [2, -1], [1, 0], "every group must hold at least one instance"),
+        (np.zeros((3, 2)), [1, 1], [1, 0], "the group sizes sum to 2 but there are 3 instances"),
+        (np.zeros((3, 2)), [1, 2], [1, 2], "group labels must be 0 or 1"),
+        (np.zeros((3, 2)), [1, 2], [1, None], "group labels must be 0 or 1"),
+        (np.zeros((3, 2)), [1, 2], [0.5, 1], "group labels must be 0 or 1"),
+    ], ids=["vector", "3-d", "lengths", "negative-size", "sum", "label-2", "label-none",
+            "label-half"])
+    def test_rejections(self, X, sizes, labels, message):
+        with pytest.raises(CorpusError, match=message):
+            MilDataset(X, sizes, labels)
+
+    def test_float_matrix_kept_as_given(self):
+        X = np.arange(12.0).reshape(6, 2)
+        for given in (X, X[::2], np.asfortranarray(X)):
+            sizes = [1, len(given) - 1]
+            assert MilDataset(given, sizes, [1, 0]).X is given
+        dataset = MilDataset(np.arange(6).reshape(3, 2), np.array([2, 1]), [True, False])
+        assert dataset.X.dtype == float and dataset.labels.tolist() == [1, 0]
+        assert (dataset.dim, dataset.n_groups, dataset.n_instances) == (2, 2, 3)
+
 
 
 class TestTrain:
@@ -541,9 +564,7 @@ class TestTrain:
         assert not np.array_equal(a.model.theta, b.model.theta)
 
     def test_nonfinite_data_aborts_with_location(self):
-        bad = MilDataset(
-            groups=((np.array([[np.inf, -np.inf], [1.0, 0.0]]), 1),), dim=2
-        )
+        bad = MilDataset(np.array([[np.inf, -np.inf], [1.0, 0.0]]), [2], [1])
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(TrainingError, match="epoch 1"):
                 train(bad, TrainConfig(epochs=1))
@@ -655,6 +676,48 @@ class TestPrediction:
         assert document_vote(labels, scores) == expected
         # arrays, as `document_accuracy` passes them, vote alike
         assert document_vote(np.array(labels), np.array(scores)) == expected
+
+
+class TestGroupScores:
+    @pytest.mark.parametrize("gather_rows", [5, 24, 1024])
+    def test_equal_to_scoring_each_group_alone(self, monkeypatch, gather_rows):
+        # sizes 0 to 12, each size's groups split over several chunks when
+        # gather_rows is small
+        monkeypatch.setattr(embed, "GATHER_ROWS", gather_rows)
+        rng = np.random.default_rng(21)
+        sizes = rng.permutation(np.repeat(np.arange(13), 7))
+        X = rng.standard_normal((int(sizes.sum()), 6)) * 3
+        model = model_of(rng.standard_normal(7), dim=6)
+        scores = group_scores(model, X, sizes)
+        lo = 0
+        for k in sizes.tolist():
+            if k:
+                np.testing.assert_array_equal(scores[lo:lo + k],
+                                              sentence_scores(model, X[lo:lo + k]))
+            lo += k
+
+    def test_overflow_names_the_first_group_in_order(self, monkeypatch):
+        # groups 0-11 of three rows span several chunks; group 7 overflows at
+        # row 1 and group 10 at row 2; group 13, of two rows, is scored in an
+        # earlier chunk and overflows at row 0
+        monkeypatch.setattr(embed, "GATHER_ROWS", 6)
+        sizes = np.array([3] * 12 + [2, 2])
+        starts = np.cumsum(sizes) - sizes
+        X = np.random.default_rng(5).standard_normal((int(sizes.sum()), 4))
+        for group, row in ((7, 1), (10, 2), (13, 0)):
+            X[starts[group] + row] = 1e308
+        model = model_of(np.ones(4), dim=4, config=NO_BIAS)
+        with pytest.raises(mil.ScoreError, match="^row 1: linear score inf is not finite$") \
+                as exc:
+            group_scores(model, X, sizes)
+        assert exc.value.index == (7, 1)
+        with pytest.raises(mil.ScoreError) as exc:
+            group_scores(model, X[starts[12]:], sizes[12:])
+        assert exc.value.index == (1, 0)
+
+    def test_groups_without_rows(self):
+        model = model_of(np.zeros(3), dim=2)
+        assert group_scores(model, np.empty((0, 2)), np.array([0, 0], dtype=np.intp)).shape == (0,)
 
 
 class TestGridSearch:
@@ -793,10 +856,17 @@ class TestConfigValidation:
 
 
 def test_document_accuracy_matches_manual_count():
+    # a trained model on equal groups; then groups of 1 to 6 sentences under
+    # a zero theta (every score 0.5), a near-zero one (scores near 0.5, so
+    # even-sized groups often tie) and a random one
     dataset, _ = generate_synthetic(25, 5, 8, 3.0, 0.0, seed=12)
-    result = train(dataset, TrainConfig(epochs=10, seed=3))
-    manual = np.mean([
-        vote_of(result.model, matrix)[0] == label
-        for matrix, label in dataset.groups
-    ])
-    assert document_accuracy(result.model, dataset) == pytest.approx(float(manual))
+    cases = [(dataset, train(dataset, TrainConfig(epochs=10, seed=3)).model)]
+    rng = np.random.default_rng(12)
+    sizes = rng.integers(1, 7, size=60)
+    uneven = MilDataset(rng.standard_normal((int(sizes.sum()), 8)), sizes,
+                        rng.integers(0, 2, size=60))
+    cases += [(uneven, model_of(theta, dim=8))
+              for theta in (np.zeros(9), rng.standard_normal(9) * 1e-3, rng.standard_normal(9))]
+    for dataset, model in cases:
+        hits = [vote_of(model, matrix)[0] == label for matrix, label in dataset.groups]
+        assert document_accuracy(model, dataset) == sum(hits) / len(hits)
