@@ -6,33 +6,43 @@ sentence embeddings transfers the document signal down to individual
 sentences. The package also ships the surrounding pipeline: text
 preprocessing, event-study labeling from price data, embedding ingestion,
 dictionary and bag-of-words baselines, and evaluation reports.
+
+Importing the package executes none of its modules: the names below and
+`milsent.<module>` import their module on first access.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from milsent.corpus import (
-    Document,
-    NEGATIVE,
-    POSITIVE,
-    SentenceInstance,
-    Sentences,
-    load_corpus,
-    save_corpus,
-)
-from milsent.mil import MilDataset, MilModel, TrainConfig, to_mil_dataset, train
+# exported name -> the module that defines it
+_EXPORTS = {
+    "Document": "corpus",
+    "NEGATIVE": "corpus",
+    "POSITIVE": "corpus",
+    "SentenceInstance": "corpus",
+    "Sentences": "corpus",
+    "load_corpus": "corpus",
+    "save_corpus": "corpus",
+    "MilDataset": "mil",
+    "MilModel": "mil",
+    "TrainConfig": "mil",
+    "to_mil_dataset": "mil",
+    "train": "mil",
+}
+_MODULES = ("baselines", "cli", "config", "corpus", "embed", "eventstudy", "evaluate",
+            "mil", "preprocess")
 
-__all__ = [
-    "Document",
-    "MilDataset",
-    "MilModel",
-    "NEGATIVE",
-    "POSITIVE",
-    "SentenceInstance",
-    "Sentences",
-    "TrainConfig",
-    "load_corpus",
-    "save_corpus",
-    "to_mil_dataset",
-    "train",
-    "__version__",
-]
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f"milsent.{_EXPORTS[name]}"), name)
+    if name in _MODULES:
+        return importlib.import_module(f"milsent.{name}")
+    raise AttributeError(f"module 'milsent' has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_MODULES})

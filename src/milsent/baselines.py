@@ -19,11 +19,11 @@ from importlib import resources
 from itertools import chain
 from typing import Mapping, Sequence
 
-from milsent._lazy import lazy_numpy
+from milsent._lazy import lazy_import
 from milsent.corpus import NEGATIVE, POSITIVE
-from milsent.mil import TrainingError, sigmoid
 
-np = lazy_numpy()
+np = lazy_import("numpy")
+mil = lazy_import("milsent.mil")
 
 log = logging.getLogger(__name__)
 
@@ -152,7 +152,7 @@ class _Logistic:
     def gradient(self, x):
         """The gradient at x. Also sets the curvature that `hessian_times`
         uses to the curvature at x."""
-        p = sigmoid(self._times(x))
+        p = mil.sigmoid(self._times(x))
         n = len(self.y)
         self.curvature = p * (1.0 - p) / n
         return self._transpose_times((p - self.y) / n, x)
@@ -210,7 +210,7 @@ def _newton_iterates(objective: _Logistic):
                 break
             step /= 2
         else:
-            raise TrainingError(
+            raise mil.TrainingError(
                 f"bag-of-words fit: no decrease along the Newton direction at gradient "
                 f"norm {norm:.3g}"
             )
@@ -245,7 +245,7 @@ def train_bow_logreg(
         if norm < TOL:
             break
         if iterations == MAX_NEWTON_STEPS:
-            raise TrainingError(
+            raise mil.TrainingError(
                 f"bag-of-words fit did not converge in {MAX_NEWTON_STEPS} Newton steps: "
                 f"gradient norm {norm:.3g} >= {TOL:g}"
             )
@@ -259,9 +259,15 @@ def train_bow_logreg(
 
 
 def bow_predict(model: BowModel, tokens: Sequence[str]) -> tuple[int, float]:
-    """(label, score); the same >= 0.5 threshold as the MIL classifier."""
+    """(label, score); the same >= 0.5 threshold as the MIL classifier, and
+    the same two-branch sigmoid as `mil.sigmoid`, in Python floats: one
+    sentence is too small for numpy."""
     z = model.intercept
     for col, count in bow_featurize(tokens, model.vocabulary_index).items():
-        z += model.weights[col] * count
-    score = float(sigmoid(z))
+        z += model.weights.item(col) * count
+    if z >= 0:
+        score = 1.0 / (1.0 + math.exp(-z))
+    else:
+        ez = math.exp(z)
+        score = ez / (1.0 + ez)
     return (POSITIVE if score >= 0.5 else NEGATIVE), score

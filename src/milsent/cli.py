@@ -21,9 +21,7 @@ from pathlib import Path
 
 import milsent
 from milsent import config as configfile
-from milsent import embed, eventstudy, evaluate, mil, preprocess
-from milsent._lazy import lazy_numpy
-from milsent.baselines import DictionaryError
+from milsent._lazy import lazy_import
 from milsent.corpus import (
     CorpusError,
     Document,
@@ -37,7 +35,15 @@ from milsent.corpus import (
     with_predictions,
 )
 
-np = lazy_numpy()
+np = lazy_import("numpy")
+# every stage layer executes on its first use, so a command runs only the
+# layers it calls; all are in `sys.modules` once this module is imported
+baselines = lazy_import("milsent.baselines")
+embed = lazy_import("milsent.embed")
+eventstudy = lazy_import("milsent.eventstudy")
+evaluate = lazy_import("milsent.evaluate")
+mil = lazy_import("milsent.mil")
+preprocess = lazy_import("milsent.preprocess")
 
 CONFIG_ENV_VAR = "MILSENT_CONFIG"
 
@@ -423,16 +429,11 @@ def cmd_predict(args) -> int:
             all_scores = mil.group_scores(model, X, counts)
         except mil.ScoreError as exc:
             raise ValueError(f"document {docs[exc.index[0]].id}: {exc}") from exc
-        all_labels = mil.sentence_labels(all_scores).tolist()
-        all_scores = all_scores.tolist()
-        lo = 0
-        for doc, k in zip(docs, counts.tolist()):
-            if not k:
+        votes = mil.group_votes(all_scores, counts)
+        for doc, (labels, scores, (doc_label, n_pos, n_neg)) in zip(docs, votes):
+            if not labels:
                 out_docs.append(doc)
                 continue
-            labels, scores = all_labels[lo:lo + k], all_scores[lo:lo + k]
-            lo += k
-            doc_label, n_pos, n_neg = mil.document_vote(labels, scores)
             doc_summaries[doc.id] = {
                 "label": LABEL_TO_TEXT[doc_label],
                 "positive_sentences": n_pos,
@@ -739,7 +740,7 @@ def main(argv=None) -> int:
         eventstudy.EventStudyError,
         embed.EmbeddingError,
         mil.TrainingError,
-        DictionaryError,
+        baselines.DictionaryError,
         ValueError,
         OSError,
     ) as exc:

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Sequence
 
-from milsent._lazy import lazy_numpy
+from milsent._lazy import lazy_import
 from milsent.corpus import Document, utf8_lines
-from milsent.preprocess import tokenize
 
-np = lazy_numpy()
+np = lazy_import("numpy")
+preprocess = lazy_import("milsent.preprocess")
 
 PRECOMPUTED_SENTENCE = "precomputed-sentence"
 WORD_AVERAGE = "word-average"
@@ -240,6 +240,6 @@ def embed_matrix(docs: Sequence[Document], store: EmbeddingStore) -> np.ndarray:
             out[row] = _precomputed_vector(store, key)
         return out
     return _averages([
-        tokens or tokenize(text)
+        tokens or preprocess.tokenize(text)
         for doc in docs for text, tokens in zip(doc.sentences.texts, doc.sentences.tokens)
     ], store)

@@ -20,10 +20,10 @@ from dataclasses import dataclass, replace
 from datetime import date
 from typing import Mapping, Sequence
 
-from milsent._lazy import lazy_numpy
+from milsent._lazy import lazy_import
 from milsent.corpus import Document, NEGATIVE, POSITIVE, utf8_lines
 
-np = lazy_numpy()
+np = lazy_import("numpy")
 
 
 class EventStudyError(Exception):

@@ -25,7 +25,7 @@ stack of equal-sized groups, `group_scores` scores consecutive groups of
 any sizes through such stacks, `sentence_labels` applies the 0.5 rule and
 `document_vote` takes the majority. `document_accuracy`, which
 `grid_search` and the `train` command report, and the `predict` command
-all score through `group_scores`.
+all score through `group_scores` and vote through `group_votes`.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ import math
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
-from milsent._lazy import lazy_numpy
+from milsent._lazy import lazy_import
 from milsent.corpus import CorpusError, Document, NEGATIVE, POSITIVE, atomic_write
-from milsent.embed import rows_by_count
 
-np = lazy_numpy()
+np = lazy_import("numpy")
+embed = lazy_import("milsent.embed")
 
 MODEL_FORMAT = "milsent-model"
 MODEL_VERSION = 1
@@ -187,15 +187,15 @@ def to_mil_dataset(corpus: Sequence[Document], X: np.ndarray) -> MilDataset:
     return MilDataset(X, sizes, [doc.label for doc in corpus])
 
 
-def sigmoid(z):
-    """1 / (1 + exp(-z)), stable for large |z|; scalar in, scalar out."""
+def sigmoid(z) -> np.ndarray:
+    """1 / (1 + exp(-z)) of an array, elementwise, stable for large |z|."""
     arr = np.asarray(z, dtype=float)
     out = np.empty_like(arr)
     pos = arr >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
     ez = np.exp(arr[~pos])
     out[~pos] = ez / (1.0 + ez)
-    return out if out.ndim else float(out)
+    return out
 
 
 def _linear_scores(theta: np.ndarray, use_bias: bool, X: np.ndarray) -> np.ndarray:
@@ -247,7 +247,7 @@ def group_scores(model: MilModel, X, sizes) -> np.ndarray:
     has one."""
     scores = np.empty(len(X))
     first = None
-    for chunk, index in rows_by_count(sizes):
+    for chunk, index in embed.rows_by_count(sizes):
         try:
             scores[index] = sentence_scores(model, X[index])
         except ScoreError as exc:
@@ -278,6 +278,19 @@ def document_vote(labels, scores=None) -> tuple[int | None, int, int]:
     else:
         label = POSITIVE if sum(scores) / len(scores) >= 0.5 else NEGATIVE
     return label, positive, negative
+
+
+def group_votes(scores, sizes) -> list[tuple[list[int], list[float], tuple[int | None, int, int]]]:
+    """Per group, sizes[i] consecutive entries of `scores` after those of the
+    groups before it: its sentence labels and scores as lists, and their
+    `document_vote`. A group of size 0 has empty lists and a vote of None."""
+    labels, scores = sentence_labels(scores).tolist(), np.asarray(scores).tolist()
+    votes, lo = [], 0
+    for hi in np.cumsum(sizes, dtype=np.intp).tolist():
+        group = labels[lo:hi], scores[lo:hi]
+        votes.append((*group, document_vote(*group)))
+        lo = hi
+    return votes
 
 
 def _pairwise_terms(
@@ -417,12 +430,8 @@ def train(dataset: MilDataset, config: TrainConfig | None = None) -> TrainResult
 def document_accuracy(model: MilModel, dataset: MilDataset) -> float:
     """Fraction of groups whose `document_vote` matches the group label, the
     groups scored by `group_scores` as `predict` scores documents."""
-    scores = group_scores(model, dataset.X, dataset.sizes)
-    labels, scores = sentence_labels(scores).tolist(), scores.tolist()
-    hits = lo = 0
-    for k, label in zip(dataset.sizes.tolist(), dataset.labels.tolist()):
-        hits += document_vote(labels[lo:lo + k], scores[lo:lo + k])[0] == label
-        lo += k
+    votes = group_votes(group_scores(model, dataset.X, dataset.sizes), dataset.sizes)
+    hits = sum(vote[0] == label for (_, _, vote), label in zip(votes, dataset.labels.tolist()))
     return hits / dataset.n_groups
 
 

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from milsent.baselines import (
     load_dictionary,
     train_bow_logreg,
 )
-from milsent.mil import TrainingError
+from milsent.mil import TrainingError, sigmoid
 from reference import (
     central_difference_gradient,
     dense_features,
@@ -281,6 +282,17 @@ class TestBowPredict:
             bow_predict(model, ["profit"] * k)[1] for k in range(5)
         ]
         assert all(a < b for a, b in zip(scores, scores[1:]))
+
+    def test_score_is_the_mil_sigmoid_within_one_ulp(self):
+        # binary fractions: z is exact in any summation order
+        model = self._toy_model([0.75, -1.25], 0.25)
+        for tokens in ([], ["profit"], ["loss"], ["loss"] * 3, ["profit", "loss"] * 40,
+                       ["loss"] * 800, ["profit"] * 800):
+            z = 0.25 + 0.75 * tokens.count("profit") - 1.25 * tokens.count("loss")
+            expected = float(sigmoid(np.array([z]))[0])
+            score = bow_predict(model, tokens)[1]
+            assert isinstance(score, float)
+            assert abs(score - expected) <= math.ulp(expected)
 
     def test_trained_end_to_end_on_tokens(self):
         token_lists = [["profit", "gain"], ["profit"], ["loss"], ["loss", "risk"]]

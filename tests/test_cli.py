@@ -774,43 +774,78 @@ class TestRender:
         assert "predict" in capsys.readouterr().err
 
 
-NUMPY_PROBE = """
-import sys
+LAYERS_PROBE = """
+import json, sys, types
 from milsent.cli import main
 code = main(sys.argv[1:])
-print(code, any(name in sys.modules for name in ("numpy._core", "numpy.core")))
+# a module registered for lazy loading is not yet a plain ModuleType, and
+# reading its type does not load it
+print(json.dumps([code, sorted(name for name, module in sys.modules.items()
+                               if (name == "numpy" or name.startswith("milsent."))
+                               and type(module) is types.ModuleType)]))
 """
 
 
-def _executes_numpy(*argv) -> bool:
-    """Whether `milsent ARGV`, run alone in a new interpreter, executes
-    numpy; the command must succeed."""
+def _probe(code: str, *argv) -> str:
+    """The last stdout line of `code`, run with ARGV in a new interpreter."""
     src = str(Path(milsent.__file__).resolve().parent.parent)
-    done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *map(str, argv)],
+    done = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
                           env={**os.environ, "PYTHONPATH": src}, check=True,
                           capture_output=True, text=True)
-    code, executed = done.stdout.split()[-2:]
-    assert code == "0", done.stderr
-    return executed == "True"
+    return done.stdout.splitlines()[-1]
 
 
-class TestNumpyOnFirstUse:
-    def test_only_the_numeric_stages_execute_numpy(self, tmp_path):
+def _executed_layers(*argv) -> set[str]:
+    """The layers (and numpy) that `milsent ARGV`, run alone in a new
+    interpreter, executes; the command must succeed."""
+    code, executed = json.loads(_probe(LAYERS_PROBE, *argv))
+    assert code == 0
+    return {name.removeprefix("milsent.") for name in executed} - {"_lazy"}
+
+
+class TestLayersOnFirstUse:
+    # the layers a tracer rebinds in `cli` right after importing it
+    TRACED_LAYERS = ("corpus", "preprocess", "eventstudy", "embed", "mil", "baselines",
+                     "evaluate")
+    NUMERIC = {"numpy", "embed", "eventstudy", "baselines"}
+
+    def test_importing_cli_registers_every_traced_layer(self):
+        registered = _probe(
+            "import sys, milsent.cli\n"
+            f"print(all('milsent.' + name in sys.modules for name in {self.TRACED_LAYERS}))")
+        assert registered == "True"
+
+    def test_each_command_runs_only_the_layers_it_calls(self, tmp_path):
         raw, processed = news_corpus(tmp_path), tmp_path / "processed.jsonl"
         cfg = write_config(tmp_path / "demo.cfg")
         corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=10)
         model, predicted = tmp_path / "model.json", tmp_path / "pred.jsonl"
         gold, perfect, _ = evaluation_files(tmp_path)
-        assert not _executes_numpy("--version")
-        assert not _executes_numpy("preprocess", raw, processed, "--config", cfg)
-        assert _executes_numpy("train", corpus, vectors, model, "--embedding-format",
-                               "sentence", "--epochs", "1")
-        assert _executes_numpy("predict", model, corpus, vectors, predicted,
-                               "--embedding-format", "sentence")
-        assert not _executes_numpy("evaluate", gold, f"mil={perfect}", "--mode", "sentence")
-        assert not _executes_numpy("evaluate", corpus, f"mil={predicted}", "--mode", "document",
-                                   "--out", tmp_path / "report.txt")
-        assert not _executes_numpy("render", predicted, "g000", "--format", "html")
+
+        assert _executed_layers("--version") == {"cli", "config", "corpus"}
+        ran = _executed_layers("preprocess", raw, processed, "--config", cfg)
+        assert "preprocess" in ran and not ran & (self.NUMERIC | {"mil", "evaluate"})
+        for argv in (("train", corpus, vectors, model, "--epochs", "1"),
+                     ("predict", model, corpus, vectors, predicted)):
+            ran = _executed_layers(*argv, "--embedding-format", "sentence")
+            assert {"numpy", "embed", "mil"} <= ran
+        for argv in (("evaluate", gold, f"mil={perfect}", "--mode", "sentence"),
+                     ("evaluate", corpus, f"mil={predicted}", "--mode", "document",
+                      "--out", tmp_path / "report.txt")):
+            ran = _executed_layers(*argv)
+            assert "evaluate" in ran and not ran & self.NUMERIC
+        ran = _executed_layers("render", predicted, "g000", "--format", "html")
+        assert not ran & (self.NUMERIC | {"mil", "preprocess", "evaluate"})
+
+    def test_bare_import_executes_nothing_and_resolves_every_name(self):
+        resolved = _probe(
+            "import sys, types, milsent\n"
+            "before = [n for n, m in sys.modules.items()\n"
+            "          if n.startswith('milsent.') and type(m) is types.ModuleType]\n"
+            "names = [getattr(milsent, name) for name in milsent.__all__]\n"
+            "print(before, milsent.mil.document_vote([1]), milsent.corpus.POSITIVE,\n"
+            "      milsent.train is milsent.mil.train, set(milsent.__all__) <= set(dir(milsent)))")
+        assert resolved == "[] (1, 1, 0) 1 True True"
 
 
 class TestConfigFile:

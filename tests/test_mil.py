@@ -21,6 +21,7 @@ from milsent.mil import (
     gradient,
     grid_search,
     group_scores,
+    group_votes,
     load_model,
     loss,
     median_heuristic_gamma,
@@ -62,15 +63,15 @@ def random_batch(rng, n_groups=5, max_instances=4, dim=8, fixed_instances=None):
 
 class TestSigmoid:
     def test_zero_is_half(self):
-        assert sigmoid(0.0) == 0.5
+        assert sigmoid(np.zeros(3)).tolist() == [0.5, 0.5, 0.5]
 
     def test_saturates_without_overflow(self):
         with np.errstate(over="raise"):
-            assert sigmoid(1000.0) == 1.0
-            assert sigmoid(-1000.0) == 0.0
+            assert sigmoid(np.array([1000.0, -1000.0])).tolist() == [1.0, 0.0]
 
     def test_symmetry(self):
-        assert sigmoid(-2.5) == pytest.approx(1.0 - sigmoid(2.5), abs=1e-15)
+        zs = np.array([0.5, 2.5, 30.0])
+        np.testing.assert_allclose(sigmoid(-zs), 1.0 - sigmoid(zs), rtol=0, atol=1e-15)
 
     def test_matches_scalar_reference(self):
         zs = np.linspace(-30, 30, 101)
@@ -718,6 +719,20 @@ class TestGroupScores:
     def test_groups_without_rows(self):
         model = model_of(np.zeros(3), dim=2)
         assert group_scores(model, np.empty((0, 2)), np.array([0, 0], dtype=np.intp)).shape == (0,)
+
+    def test_votes_walk_the_groups_in_order(self):
+        sizes = np.array([2, 0, 3, 1, 0, 4], dtype=np.intp)
+        scores = np.random.default_rng(8).random(int(sizes.sum()))
+        scores[:2] = [0.5, 0.2]  # a tie, decided by the mean score
+        votes = group_votes(scores, sizes)
+        assert len(votes) == len(sizes)
+        lo = 0
+        for k, (labels, group, vote) in zip(sizes.tolist(), votes):
+            assert group == scores[lo:lo + k].tolist()
+            assert labels == sentence_labels(scores[lo:lo + k]).tolist()
+            assert vote == document_vote(labels, group)
+            lo += k
+        assert votes[0][2] == (0, 1, 1) and votes[1] == ([], [], (None, 0, 0))
 
 
 class TestGridSearch:
