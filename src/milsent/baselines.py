@@ -20,7 +20,7 @@ from itertools import chain
 from typing import Mapping, Sequence
 
 from milsent._lazy import lazy_import
-from milsent.corpus import NEGATIVE, POSITIVE
+from milsent.corpus import DataError, NEGATIVE, POSITIVE
 
 np = lazy_import("numpy")
 mil = lazy_import("milsent.mil")
@@ -28,7 +28,7 @@ mil = lazy_import("milsent.mil")
 log = logging.getLogger(__name__)
 
 
-class DictionaryError(Exception):
+class DictionaryError(DataError):
     """A polarity word list violates its contract."""
 
 

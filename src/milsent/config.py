@@ -8,12 +8,12 @@ from __future__ import annotations
 
 from dataclasses import fields, replace
 
-from milsent.corpus import utf8_lines
+from milsent.corpus import UsageError, utf8_lines
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
-class ConfigError(Exception):
+class ConfigError(UsageError):
     """A config file is unreadable or malformed."""
 
 

@@ -7,6 +7,17 @@ Optional: ``sentences`` (array of strings), ``label`` ("pos"/"neg"),
 to ``sentences``: ``sentence_tokens``, ``sentence_labels``,
 ``sentence_scores``.
 
+`iter_corpus` reads a corpus file one document at a time and checks every
+record (ids unique across the file included) before it yields it;
+`load_corpus` is the list of that stream. `predict` scores the stream in
+chunks of documents and `evaluate` keeps only the label columns it pairs,
+so their memory follows a chunk, not the corpus. `save_corpus` writes any
+iterable of documents.
+
+The module also holds the two error bases the command line catches:
+`UsageError` (exit code 2) and `DataError` (exit code 1). Each layer's
+error class derives from one of them, so catching them executes no layer.
+
 A document keeps its sentences as columns, not as one object per sentence:
 `Sentences` holds a tuple each of texts, token tuples, labels and scores,
 exactly the four sentence arrays of a corpus record. It checks the columns
@@ -32,7 +43,7 @@ from datetime import date
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 POSITIVE = 1
 NEGATIVE = 0
@@ -41,7 +52,17 @@ LABEL_TO_TEXT = {POSITIVE: "pos", NEGATIVE: "neg"}
 _TEXT_TO_LABEL = {"pos": POSITIVE, "neg": NEGATIVE}
 
 
-class CorpusError(Exception):
+class UsageError(Exception):
+    """Bad arguments, bad config, or unusable input selection. Every error
+    that the command line reports with exit code 2 derives from it."""
+
+
+class DataError(Exception):
+    """Input data, or a computation on it, that fails a run. Every milsent
+    error that the command line reports with exit code 1 derives from it."""
+
+
+class CorpusError(DataError):
     """A corpus file or document violates its contract."""
 
 
@@ -324,10 +345,12 @@ def _parse_record(line: str) -> Document:
     )
 
 
-def load_corpus(path) -> list[Document]:
-    """Read a JSON-Lines corpus file; an error in a record names the file
-    and the line."""
-    docs: list[Document] = []
+def iter_corpus(path) -> Iterator[Document]:
+    """The documents of a JSON-Lines corpus file, one at a time, in file
+    order; an error in a record names the file and the line. The file is
+    opened on the first `next`, and every record is checked before it is
+    yielded, ids against those before it included, so a caller that keeps
+    only some of each document holds one document at a time."""
     seen: set[str] = set()
     try:
         handle = open(path, encoding="utf-8")
@@ -345,8 +368,12 @@ def load_corpus(path) -> list[Document]:
             except CorpusError as exc:
                 raise CorpusError(f"{path}: line {line_no}: {exc}") from exc
             seen.add(doc.id)
-            docs.append(doc)
-    return docs
+            yield doc
+
+
+def load_corpus(path) -> list[Document]:
+    """Every document of a JSON-Lines corpus file, read by `iter_corpus`."""
+    return list(iter_corpus(path))
 
 
 _LABEL_TEXT = {**LABEL_TO_TEXT, None: None}

@@ -7,15 +7,16 @@ order-insensitive, a documented difference from learned sentence encoders.
 
 `embed_matrix` is the one embedding path: one row per sentence of a corpus,
 in corpus order. Documents do not carry their vectors: `train` hands the
-matrix to `mil.to_mil_dataset` and `predict` scores its rows. The two
-averaging providers index the corpus's distinct known tokens in one table
-(word vectors, or hash vectors computed once per token per call), group the
-sentences by their count k of known tokens and average each group's
-gathered k-row blocks, at most `GATHER_ROWS` token rows at a time. A
-sentence's tokens are summed in sorted order with the same numpy reduction
-as averaging that sentence alone, so its vector depends neither on token
-order nor on the rest of the corpus. A sentence with no tokens, or with
-none in the vocabulary, gets the zero vector.
+matrix to `mil.to_mil_dataset`, and `predict` embeds and scores one chunk
+of documents per call. The two averaging providers index the corpus's
+distinct known tokens in one table (word vectors, or hash vectors computed
+once per token per store), group the sentences by their count k of known
+tokens and average each group's gathered k-row blocks, at most
+`GATHER_ROWS` token rows at a time. A sentence's tokens are summed in
+sorted order with the same numpy reduction as averaging that sentence
+alone, so its vector depends neither on token order nor on the rest of the
+corpus. A sentence with no tokens, or with none in the vocabulary, gets the
+zero vector.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import chain, repeat
 from typing import Sequence
 
 from milsent._lazy import lazy_import
-from milsent.corpus import Document, utf8_lines
+from milsent.corpus import DataError, Document, utf8_lines
 
 np = lazy_import("numpy")
 preprocess = lazy_import("milsent.preprocess")
@@ -43,7 +44,7 @@ DEFAULT_DIM = 300
 GATHER_ROWS = 1024
 
 
-class EmbeddingError(Exception):
+class EmbeddingError(DataError):
     """An embedding file or lookup violates its contract."""
 
 
@@ -117,7 +118,10 @@ def load_sentence_embeddings(path) -> EmbeddingStore:
 
 
 def hash_fallback_store(dim: int = DEFAULT_DIM, seed: int = 0) -> EmbeddingStore:
-    """Deterministic per-token pseudo-random unit vectors; no data needed."""
+    """Deterministic per-token pseudo-random unit vectors; no data needed.
+    The store's `vectors` start empty and keep each token's vector once it
+    is first embedded, so a token costs one hash per store however many
+    `embed_matrix` calls see it."""
     return EmbeddingStore(dim=dim, vectors={}, provider=HASH_FALLBACK, seed=seed)
 
 
@@ -144,14 +148,12 @@ def _token_table(distinct: set[str], store: EmbeddingStore):
     sorted token order, so that sorting a sentence's rows sorts its tokens.
     Only these tokens are copied, never the whole store."""
     if store.provider == HASH_FALLBACK:
-        vocab = sorted(distinct)
-        vectors = (_hash_vector(t, store.dim, store.seed) for t in vocab)
-    else:
-        vocab = sorted(t for t in distinct if t in store.vectors)
-        vectors = map(store.vectors.__getitem__, vocab)
+        for token in distinct.difference(store.vectors):
+            store.vectors[token] = _hash_vector(token, store.dim, store.seed)
+    vocab = sorted(t for t in distinct if t in store.vectors)
     table = np.empty((len(vocab), store.dim))
-    for row, vec in enumerate(vectors):
-        table[row] = vec
+    for row, token in enumerate(vocab):
+        table[row] = store.vectors[token]
     return {t: row for row, t in enumerate(vocab)}, table
 
 
@@ -200,24 +202,6 @@ def rows_by_count(counts: np.ndarray):
         for lo in range(0, len(members), step):
             chunk = members[lo:lo + step]
             yield chunk, starts[chunk, None] + offsets
-
-
-def embed_sentence(
-    tokens: Sequence[str], store: EmbeddingStore, key: str | None = None
-) -> np.ndarray:
-    """Sentence vector for a token sequence.
-
-    word-average: mean of in-vocabulary token vectors (zero vector if none
-    are known). hash-fallback: mean of per-token hash vectors.
-    precomputed-sentence: lookup by `key`.
-    """
-    if len(tokens) == 0:
-        raise EmbeddingError("cannot embed an empty token sequence")
-    if store.provider == PRECOMPUTED_SENTENCE:
-        if key is None:
-            raise EmbeddingError("precomputed-sentence provider requires a sentence key")
-        return _precomputed_vector(store, key)
-    return _averages([tokens], store)[0]
 
 
 def sentence_key(doc_id: str, index: int) -> str:

@@ -21,12 +21,12 @@ from datetime import date
 from typing import Mapping, Sequence
 
 from milsent._lazy import lazy_import
-from milsent.corpus import Document, NEGATIVE, POSITIVE, utf8_lines
+from milsent.corpus import DataError, Document, NEGATIVE, POSITIVE, utf8_lines
 
 np = lazy_import("numpy")
 
 
-class EventStudyError(Exception):
+class EventStudyError(DataError):
     """Price data is unusable for the requested computation."""
 
 

@@ -37,7 +37,8 @@ from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 from milsent._lazy import lazy_import
-from milsent.corpus import CorpusError, Document, NEGATIVE, POSITIVE, atomic_write
+from milsent.corpus import (CorpusError, DataError, Document, NEGATIVE, POSITIVE,
+                            UsageError, atomic_write)
 
 np = lazy_import("numpy")
 embed = lazy_import("milsent.embed")
@@ -49,11 +50,11 @@ MODEL_VERSION = 1
 KERNEL_BLOCK_ROWS = 64
 
 
-class TrainingError(Exception):
+class TrainingError(DataError):
     """Optimization produced a non-finite value or cannot proceed."""
 
 
-class ModelFormatError(Exception):
+class ModelFormatError(UsageError):
     """A model file is corrupted or has an unknown format/version."""
 
 

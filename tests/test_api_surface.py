@@ -17,7 +17,6 @@ SRC = ROOT / "src" / "milsent"
 PERFBENCH = ROOT / "perfbench"
 
 ENTRY_POINTS = {
-    "embed.embed_sentence": "the one-sentence form of embed_matrix for library users",
     "eventstudy.fit_market_model": "the market-model fit that acceptance criterion 06 checks",
     "evaluate.label_distribution": "sentence polarity within positive and negative documents",
     "evaluate.format_distribution": "the table of label_distribution",

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -540,6 +541,149 @@ class TestPredict:
         assert "conflicts with model dimension" in capsys.readouterr().err
 
 
+def _bare(doc_id):
+    """A corpus record without sentences."""
+    return {"id": doc_id, "ticker": "X", "published_at": "2005-01-05", "text": "t"}
+
+
+class TestPredictChunks:
+    """`predict` embeds and scores `PREDICT_CHUNK_DOCS` documents at a time;
+    its outputs do not depend on where the chunks fall."""
+
+    CHUNK = 4
+
+    def _files(self, tmp_path, theta):
+        corpus, vectors = word_average_files(tmp_path, n_docs=28)
+        records = [json.loads(line) for line in corpus.read_text().splitlines()]
+        # zero-vector sentences in chunk 0, as in the last document ("zeros")
+        records.insert(1, {**_bare("zeros0"), "sentences": ["oov oov", "w2 w3", "..."]})
+        # documents without sentences close chunk 0, open chunk 1, fill all
+        # of chunk 2 and end the corpus, in a last chunk of one document
+        for at, doc_id in ((3, "bare0"), (4, "bare1"), *((8 + i, f"bare{2 + i}")
+                                                         for i in range(4))):
+            records.insert(at, _bare(doc_id))
+        records.append(_bare("bare_last"))
+        assert len(records) % self.CHUNK == 1
+        write_jsonl(corpus, records)
+        model = tmp_path / "model.json"
+        save_model(MilModel(theta=theta, dim=6, config=TrainConfig(use_bias=False)), model)
+        return model, corpus, vectors
+
+    def _predict(self, monkeypatch, capsys, chunk, *paths):
+        monkeypatch.setattr(cli, "PREDICT_CHUNK_DOCS", chunk)
+        capsys.readouterr()
+        code = main(["predict", *map(str, paths)])
+        return code, capsys.readouterr().err
+
+    def test_outputs_equal_the_one_chunk_run(self, tmp_path, monkeypatch, capsys):
+        model, corpus, vectors = self._files(tmp_path, np.random.default_rng(3).standard_normal(6))
+        runs = {}
+        for chunk in (self.CHUNK, 10_000):
+            out = tmp_path / f"pred{chunk}.jsonl"
+            code, err = self._predict(monkeypatch, capsys, chunk, model, corpus, vectors, out)
+            assert code == 0
+            metrics = json.loads(Path(f"{out}.manifest.json").read_text())["metrics"]
+            runs[chunk] = out.read_bytes(), Path(f"{out}.docs.json").read_bytes(), err, metrics
+        assert runs[self.CHUNK] == runs[10_000]
+
+        # zero-vector sentences fall in several chunks, and one line gives
+        # their total
+        docs = load_corpus(corpus)
+        X = embed.embed_matrix(docs, load_embeddings(vectors))
+        doc_of_row = np.repeat(np.arange(len(docs)), [len(d.sentences) for d in docs])
+        zero = ~X.any(axis=1)
+        assert len(set((doc_of_row[zero] // self.CHUNK).tolist())) >= 2
+        err = runs[self.CHUNK][2]
+        assert err.count("zero vector") == 1
+        assert f"warning: {zero.sum()} of {len(X)} sentences embedded as the zero vector" in err
+        assert runs[self.CHUNK][3] == {"zero_vector_sentences": int(zero.sum())}
+
+    def test_overflow_in_a_later_chunk_names_its_document(self, tmp_path, monkeypatch, capsys):
+        model, corpus, vectors = self._files(tmp_path, np.ones(6))
+        with open(vectors, "a", encoding="utf-8") as handle:
+            handle.write("huge " + " ".join(["1e308"] * 6) + "\n")
+        records = [json.loads(line) for line in corpus.read_text().splitlines()]
+        for at, doc_id in ((14, "blowup"), (21, "blowup_later")):
+            records.insert(at, {**_bare(doc_id), "sentences": ["w1 w2", "huge"]})
+        write_jsonl(corpus, records)
+        out = tmp_path / "out.jsonl"
+        code, err = self._predict(monkeypatch, capsys, self.CHUNK, model, corpus, vectors, out)
+        assert code == 1
+        assert err == "error: document blowup: row 1: linear score inf is not finite\n"
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith((".out", "out"))] == []
+
+    def test_empty_corpus_needs_no_embedding_file(self, tmp_path, monkeypatch, capsys):
+        """The store is built at the first document: no document, no store."""
+        model, _, _ = self._files(tmp_path, np.ones(6))
+        empty, out = tmp_path / "empty.jsonl", tmp_path / "out.jsonl"
+        empty.write_text("\n")
+        code, err = self._predict(monkeypatch, capsys, self.CHUNK, model, empty,
+                                  tmp_path / "no-such-vectors.txt", out)
+        assert code == 0 and err == "predicted 0 sentences in 0 documents\n"
+        assert out.read_text() == "" and Path(f"{out}.docs.json").read_text() == "{}\n"
+
+
+def _memory_corpus(path, n_docs, seed=0):
+    """Gold-labelled documents of ten 40-token sentences over 40 words, about
+    the length of a news article."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(40)]
+    records = []
+    for d in range(n_docs):
+        sentences = [list(rng.choice(words, size=40)) for _ in range(10)]
+        labels = ["pos" if s.count("w0") > 1 else "neg" for s in sentences]
+        records.append({"id": f"doc{d:05d}", "ticker": "X", "published_at": "2005-01-03",
+                        "text": " ".join(w for s in sentences for w in s),
+                        "sentences": [" ".join(s) for s in sentences],
+                        "sentence_tokens": sentences, "sentence_labels": labels,
+                        "label": labels[0]})
+    write_jsonl(path, records)
+    return path
+
+
+class TestMemoryFollowsAChunk:
+    """The tracemalloc peak of `predict` and `evaluate` on a corpus four
+    times larger stays under 1.5 times the peak on the base corpus: they
+    hold one chunk of documents, not the corpus. What does grow with the
+    corpus is small: `predict`'s per-document votes and `evaluate`'s label
+    columns, a few hundred bytes a document against the tens of kilobytes
+    of one parsed document. Holding the corpus (16 and 64 documents here)
+    reads close to 4 times the base peak."""
+
+    def _peak(self, argv) -> int:
+        tracemalloc.start()
+        try:
+            assert main([*map(str, argv)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_grows_less_than_the_corpus(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "PREDICT_CHUNK_DOCS", 4)
+        rng = np.random.default_rng(1)
+        vectors = tmp_path / "words.txt"
+        vectors.write_text("".join(
+            f"w{i} " + " ".join(map(repr, rng.standard_normal(6).tolist())) + "\n"
+            for i in range(40)))
+        model = tmp_path / "model.json"
+        save_model(MilModel(theta=rng.standard_normal(6), dim=6,
+                            config=TrainConfig(use_bias=False)), model)
+        peaks = {}
+        # the first pass executes the layers and fills caches, outside the count
+        for size in ("base", "base", "large"):
+            gold = _memory_corpus(tmp_path / f"{size}.jsonl", 16 if size == "base" else 64)
+            predicted = tmp_path / f"{size}.pred.jsonl"
+            peaks[size] = (
+                self._peak(["predict", model, gold, vectors, predicted]),
+                *(self._peak(["evaluate", gold, f"mil={predicted}", "--mode", mode,
+                              "--out", tmp_path / f"{size}.{mode}.txt"])
+                  for mode in ("sentence", "document")))
+        capsys.readouterr()
+        for command, base, large in zip(("predict", "evaluate sentence", "evaluate document"),
+                                        peaks["base"], peaks["large"]):
+            assert large < 1.5 * base, (command, base, large)
+
+
 class TestDeterminism:
     def test_same_manifest_gives_byte_identical_models(self, tmp_path):
         corpus, vectors, _ = synthetic_corpus_files(tmp_path)
@@ -704,13 +848,17 @@ class TestEvaluatePairingOracle:
         pred_docs = [d for i, d in enumerate(_labelled_docs(predicted, scored, "d"))
                      if i not in drop]
 
-        def outcome(pairing):
+        def outcome(pairing, *files):
             try:
-                return pairing(gold_docs, pred_docs, "p.jsonl")
+                return pairing(*files, "p.jsonl")
             except CorpusError as exc:
                 return str(exc)
 
-        assert outcome(cli._sentence_pairs) == outcome(naive_sentence_pairs)
+        # what `evaluate --mode sentence` keeps of each file
+        gold_labels = [(doc.id, doc.sentences.labels) for doc in gold_docs]
+        pred_labels = {doc.id: doc.sentences.labels for doc in pred_docs}
+        assert outcome(cli._sentence_pairs, gold_labels, pred_labels) == \
+            outcome(naive_sentence_pairs, gold_docs, pred_docs)
         for doc in pred_docs:
             assert cli._majority_label(doc) == naive_majority_label(doc)
 
@@ -760,6 +908,14 @@ class TestRender:
         assert out.count('class="pos"') == 2
         assert out.count('class="neg"') == 1
 
+    def test_a_bad_line_after_the_document_fails(self, tmp_path, capsys):
+        """`render` keeps only the document it shows, but checks every line."""
+        corpus = self._predicted_corpus(tmp_path)
+        with open(corpus, "a", encoding="utf-8") as handle:
+            handle.write("{bad json\n")
+        assert main(["render", str(corpus), "doc1"]) == 1
+        assert f"{corpus}: line 2: malformed record" in capsys.readouterr().err
+
     def test_unknown_doc_id(self, tmp_path, capsys):
         corpus = self._predicted_corpus(tmp_path)
         assert main(["render", str(corpus), "nope"]) == 2
@@ -795,11 +951,11 @@ def _probe(code: str, *argv) -> str:
     return done.stdout.splitlines()[-1]
 
 
-def _executed_layers(*argv) -> set[str]:
+def _executed_layers(*argv, exit_code=0) -> set[str]:
     """The layers (and numpy) that `milsent ARGV`, run alone in a new
-    interpreter, executes; the command must succeed."""
+    interpreter, executes; the command must exit with `exit_code`."""
     code, executed = json.loads(_probe(LAYERS_PROBE, *argv))
-    assert code == 0
+    assert code == exit_code
     return {name.removeprefix("milsent.") for name in executed} - {"_lazy"}
 
 
@@ -836,6 +992,18 @@ class TestLayersOnFirstUse:
             assert "evaluate" in ran and not ran & self.NUMERIC
         ran = _executed_layers("render", predicted, "g000", "--format", "html")
         assert not ran & (self.NUMERIC | {"mil", "preprocess", "evaluate"})
+
+    def test_an_error_executes_no_layer_to_be_caught(self, tmp_path):
+        """`main` catches the two error bases of `corpus`, so reporting an
+        error executes no layer that the command did not run."""
+        gold, _, _ = evaluation_files(tmp_path)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{bad json\n")
+        usage = ("evaluate", gold, f"mil={tmp_path / 'missing.jsonl'}")
+        failure = ("evaluate", gold, f"mil={bad}")
+        render = ("render", bad, "doc1")
+        for argv, exit_code in ((usage, 2), (failure, 1), (render, 1)):
+            assert _executed_layers(*argv, exit_code=exit_code) == {"cli", "config", "corpus"}
 
     def test_bare_import_executes_nothing_and_resolves_every_name(self):
         resolved = _probe(

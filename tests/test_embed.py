@@ -13,7 +13,6 @@ from milsent.embed import (
     EmbeddingError,
     EmbeddingStore,
     embed_matrix,
-    embed_sentence,
     hash_fallback_store,
     load_embeddings,
     load_sentence_embeddings,
@@ -108,33 +107,41 @@ def word_store():
     )
 
 
+def embed_one(tokens, store, doc_id="d1"):
+    """The `embed_matrix` row of a document with one sentence of `tokens`."""
+    doc = make_doc(doc_id, sentences=(make_sentence(" ".join(tokens), tokens=tokens),))
+    (row,) = embed_matrix([doc], store)
+    return row
+
+
 class TestEmbedSentence:
+    """`embed_matrix` on a one-sentence document."""
+
     def test_mean_of_two_vectors(self):
-        np.testing.assert_allclose(embed_sentence(["a", "b"], word_store()), [0.5, 0.5])
+        np.testing.assert_allclose(embed_one(["a", "b"], word_store()), [0.5, 0.5])
 
     def test_single_token_identity(self):
-        np.testing.assert_array_equal(embed_sentence(["a"], word_store()), [1.0, 0.0])
+        np.testing.assert_array_equal(embed_one(["a"], word_store()), [1.0, 0.0])
 
     def test_all_oov_gives_zero_vector(self):
-        np.testing.assert_array_equal(embed_sentence(["x", "y"], word_store()), [0.0, 0.0])
+        np.testing.assert_array_equal(embed_one(["x", "y"], word_store()), [0.0, 0.0])
 
-    def test_empty_tokens_error(self):
-        with pytest.raises(EmbeddingError, match="empty"):
-            embed_sentence([], word_store())
+    def test_empty_tokens_give_zero_vector(self):
+        np.testing.assert_array_equal(embed_one([], word_store()), [0.0, 0.0])
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(4)
         store = hash_fallback_store(dim=8, seed=1)
         tokens = ["profit", "fell", "after", "warning"]
-        base = embed_sentence(tokens, store)
+        base = embed_one(tokens, store)
         for _ in range(5):
             shuffled = list(tokens)
             rng.shuffle(shuffled)
-            np.testing.assert_array_equal(embed_sentence(shuffled, store), base)
+            np.testing.assert_array_equal(embed_one(shuffled, store), base)
 
     def test_mean_norm_bounded_by_max_input_norm(self):
         store = word_store()
-        vec = embed_sentence(["a", "b", "a"], store)
+        vec = embed_one(["a", "b", "a"], store)
         max_norm = max(np.linalg.norm(v) for v in store.vectors.values())
         assert np.linalg.norm(vec) <= max_norm + 1e-12
 
@@ -142,13 +149,9 @@ class TestEmbedSentence:
         store = EmbeddingStore(
             dim=2, vectors={"d1:0": np.array([1.0, 2.0])}, provider="precomputed-sentence"
         )
-        np.testing.assert_array_equal(
-            embed_sentence(["any"], store, key="d1:0"), [1.0, 2.0]
-        )
-        with pytest.raises(EmbeddingError, match="requires a sentence key"):
-            embed_sentence(["any"], store)
-        with pytest.raises(EmbeddingError, match="no precomputed vector"):
-            embed_sentence(["any"], store, key="d9:9")
+        np.testing.assert_array_equal(embed_one(["any"], store), [1.0, 2.0])
+        with pytest.raises(EmbeddingError, match="no precomputed vector for sentence key 'd9:0'"):
+            embed_one(["any"], store, doc_id="d9")
 
 
 class TestHashFallback:
@@ -156,25 +159,25 @@ class TestHashFallback:
         assert hash_fallback_store().dim == 300
 
     def test_reproducible_across_stores(self):
-        a = embed_sentence(["profit"], hash_fallback_store(dim=16, seed=7))
-        b = embed_sentence(["profit"], hash_fallback_store(dim=16, seed=7))
+        a = embed_one(["profit"], hash_fallback_store(dim=16, seed=7))
+        b = embed_one(["profit"], hash_fallback_store(dim=16, seed=7))
         np.testing.assert_array_equal(a, b)
 
     def test_seed_changes_vectors(self):
-        a = embed_sentence(["profit"], hash_fallback_store(dim=16, seed=7))
-        b = embed_sentence(["profit"], hash_fallback_store(dim=16, seed=8))
+        a = embed_one(["profit"], hash_fallback_store(dim=16, seed=7))
+        b = embed_one(["profit"], hash_fallback_store(dim=16, seed=8))
         assert not np.array_equal(a, b)
 
     def test_tokens_get_distinct_unit_vectors(self):
         store = hash_fallback_store(dim=16, seed=0)
-        a = embed_sentence(["profit"], store)
-        b = embed_sentence(["loss"], store)
+        a = embed_one(["profit"], store)
+        b = embed_one(["loss"], store)
         assert not np.array_equal(a, b)
         assert np.linalg.norm(a) == pytest.approx(1.0)
 
     def test_frozen_value_pinned(self):
         # regression pin: flags any change to the token-hash derivation
-        vec = embed_sentence(["profit"], hash_fallback_store(dim=4, seed=0))
+        vec = embed_one(["profit"], hash_fallback_store(dim=4, seed=0))
         np.testing.assert_allclose(
             vec,
             [0.44645280482297517, 0.05751240964959687,
@@ -247,6 +250,22 @@ class TestHashTable:
             embed_matrix(docs, hash_fallback_store(dim=8, seed=3))
             assert sorted(calls) == sorted(distinct)
 
+    def test_a_store_hashes_each_token_once(self, monkeypatch):
+        """`predict` embeds a corpus in chunks with one store: a token seen in
+        an earlier chunk is not hashed again, and the rows do not change."""
+        calls = []
+        real = embed._hash_vector
+        monkeypatch.setattr(embed, "_hash_vector",
+                            lambda token, dim, seed: calls.append(token) or real(token, dim, seed))
+        docs = self._docs()
+        whole = embed_matrix(docs, hash_fallback_store(dim=8, seed=3))
+        calls.clear()
+        store = hash_fallback_store(dim=8, seed=3)
+        parts = [embed_matrix(docs[i:i + 1], store) for i in range(len(docs))]
+        assert np.array_equal(np.concatenate(parts), whole)
+        assert sorted(calls) == sorted(set(calls))
+        assert set(store.vectors) == set(calls)
+
     def test_corpus_equals_per_sentence_vectors(self):
         store = hash_fallback_store(dim=8, seed=3)
         docs = self._docs()
@@ -256,7 +275,7 @@ class TestHashTable:
         for sentence, got in zip(sentences, X):
             tokens = sentence.tokens or tokenize(sentence.text)
             if tokens:
-                assert np.array_equal(got, embed_sentence(tokens, store))
+                assert np.array_equal(got, embed_one(tokens, store))
                 # the mean of one hash vector per occurrence, in sorted order
                 occurrences = [embed._hash_vector(t, 8, 3) for t in sorted(tokens)]
                 assert np.array_equal(got, np.mean(occurrences, axis=0))
