@@ -14,7 +14,7 @@ import html as html_mod
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from itertools import compress, islice
 from pathlib import Path
@@ -73,43 +73,29 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
-@dataclass
-class RunManifest:
-    """Record of one command invocation, enough to reproduce it."""
-
-    command: str
-    version: str
-    config: dict
-    inputs: dict
-    outputs: dict
-    seed: int | None
-    started_at: str
-    finished_at: str | None = None
-    metrics: dict | None = None
-
-    def write(self, path) -> None:
-        self.finished_at = datetime.now(timezone.utc).isoformat()
-        with atomic_write(path) as handle:
-            json.dump(self.__dict__, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+def _now() -> str:
+    return datetime.now(timezone.utc).isoformat()
 
 
-def _manifest(command: str, args, config: dict, inputs: dict, outputs: dict) -> RunManifest:
-    return RunManifest(
-        command=command,
-        version=milsent.__version__,
-        config=config,
-        inputs={k: str(v) for k, v in inputs.items()},
-        outputs={k: str(v) for k, v in outputs.items()},
-        seed=getattr(args, "seed", None),
-        started_at=datetime.now(timezone.utc).isoformat(),
-    )
-
-
-def _manifest_path(args, output_path) -> Path:
-    if getattr(args, "manifest", None):
-        return Path(args.manifest)
-    return Path(str(output_path) + ".manifest.json")
+def _write_manifest(args, output_path, *, config: dict, inputs: dict, outputs: dict,
+                    metrics: dict | None = None) -> None:
+    """Write the record of this run, enough to reproduce it, to `--manifest`
+    or `<output_path>.manifest.json`. It spans the command from the start
+    `main` stamped on `args` to this call."""
+    record = {
+        "command": args.command,
+        "version": milsent.__version__,
+        "config": config,
+        "inputs": {k: str(v) for k, v in inputs.items()},
+        "outputs": {k: str(v) for k, v in outputs.items()},
+        "seed": getattr(args, "seed", None),
+        "started_at": args.started_at,
+        "finished_at": _now(),
+        "metrics": metrics,
+    }
+    with atomic_write(args.manifest or f"{output_path}.manifest.json") as handle:
+        json.dump(record, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 # Config file key -> dataclass field, per stage. A file may hold any key of
@@ -212,19 +198,18 @@ def cmd_preprocess(args) -> int:
     _eprint(f"vocabulary: {distinct_terms} distinct terms, {len(vocab)} retained "
             f"(min_count={pconfig.min_count})")
 
-    manifest = _manifest(
-        "preprocess", args,
+    _write_manifest(
+        args, args.corpus_out,
         config=asdict(pconfig),
         inputs={"corpus": args.corpus_in},
         outputs={"corpus": args.corpus_out},
+        metrics={
+            "documents_in": len(docs),
+            "documents_out": len(kept),
+            "vocabulary_distinct": distinct_terms,
+            "vocabulary_retained": len(vocab),
+        },
     )
-    manifest.metrics = {
-        "documents_in": len(docs),
-        "documents_out": len(kept),
-        "vocabulary_distinct": distinct_terms,
-        "vocabulary_retained": len(vocab),
-    }
-    manifest.write(_manifest_path(args, args.corpus_out))
     return EXIT_OK
 
 
@@ -265,19 +250,18 @@ def cmd_label(args) -> int:
     for doc_id, reason in result.dropped:
         _eprint(f"  - {doc_id}: {reason}")
 
-    manifest = _manifest(
-        "label", args,
+    _write_manifest(
+        args, args.corpus_out,
         config=asdict(config),
         inputs={"corpus": args.corpus_in, "prices_dir": args.prices_dir,
                 "index": args.index_file},
         outputs={"corpus": args.corpus_out},
+        metrics={
+            "labeled_positive": n_pos,
+            "labeled_negative": n_neg,
+            "dropped": len(result.dropped),
+        },
     )
-    manifest.metrics = {
-        "labeled_positive": n_pos,
-        "labeled_negative": n_neg,
-        "dropped": len(result.dropped),
-    }
-    manifest.write(_manifest_path(args, args.corpus_out))
     return EXIT_OK
 
 
@@ -317,10 +301,9 @@ def _zero_vectors(zero: int, total: int) -> int:
 
 
 def _parse_grid(text: str, base: mil.TrainConfig) -> mil.GridSpec:
-    names = {"lambda": "lam", "lr": "learning_rate", "learning_rate": "learning_rate",
-             "momentum": "momentum", "lam": "lam"}
-    lists = {"lam": (base.lam,), "learning_rate": (base.learning_rate,),
-             "momentum": (base.momentum,)}
+    # a grid entry is named by its config key
+    names = {key: _TRAIN_KEYS[key] for key in ("lambda", "learning_rate", "momentum")}
+    lists = {field: (getattr(base, field),) for field in names.values()}
     for part in text.split(";"):
         part = part.strip()
         if not part:
@@ -394,13 +377,7 @@ def cmd_train(args) -> int:
         _eprint(f"final loss {'<' if decreased else '>='} initial loss")
     _eprint(f"in-sample document accuracy: {accuracy:.4f}")
 
-    manifest = _manifest(
-        "train", args,
-        config=asdict(config),
-        inputs={"corpus": args.corpus_in, "embeddings": args.embeddings},
-        outputs={"model": args.model_out},
-    )
-    manifest.metrics = {
+    metrics = {
         "groups": dataset.n_groups,
         "instances": dataset.n_instances,
         "initial_loss": result.loss_trace[0],
@@ -410,8 +387,14 @@ def cmd_train(args) -> int:
         "loss_trace": list(result.loss_trace),
     }
     if grid_cells is not None:
-        manifest.metrics["grid"] = grid_cells
-    manifest.write(_manifest_path(args, args.model_out))
+        metrics["grid"] = grid_cells
+    _write_manifest(
+        args, args.model_out,
+        config=asdict(config),
+        inputs={"corpus": args.corpus_in, "embeddings": args.embeddings},
+        outputs={"model": args.model_out},
+        metrics=metrics,
+    )
     return EXIT_OK
 
 
@@ -483,30 +466,32 @@ def cmd_predict(args) -> int:
         handle.write(text + "\n")
     _eprint(f"predicted {totals['sentences']} sentences in {totals['documents']} documents")
 
-    manifest = _manifest(
-        "predict", args,
+    _write_manifest(
+        args, args.corpus_out,
         config={"model_dim": model.dim, "use_bias": model.config.use_bias},
         inputs={"model": args.model, "corpus": args.corpus_in,
                 "embeddings": args.embeddings},
-        outputs={"corpus": args.corpus_out, "documents": str(docs_path)},
+        outputs={"corpus": args.corpus_out, "documents": docs_path},
+        metrics={"zero_vector_sentences": zero_vectors},
     )
-    manifest.metrics = {"zero_vector_sentences": zero_vectors}
-    manifest.write(_manifest_path(args, args.corpus_out))
     return EXIT_OK
 
 
 # ------------------------------------------------------------------ evaluate
 
 
-def _sentence_pairs(gold_docs, pred_labels: dict, pred_name: str):
-    """(predicted, gold) labels of every gold-labelled sentence: `gold_docs`
-    holds (id, sentence labels) per gold document in file order, and
-    `pred_labels` the sentence labels of each predicted document by id."""
-    predicted, gold = [], []
+def _label_pairs(gold_docs, predicted: dict, pred_name: str, unit: str):
+    """(predicted, gold) labels of every gold label: `gold_docs` holds
+    (id, gold labels) per gold document in file order, and `predicted` the
+    predicted labels of each document by id, one per gold label. By
+    sentence those are the sentence labels; by document (`unit` is then
+    "document") a document's label and its prediction's `_majority_label`,
+    each alone in a tuple."""
+    predicted_labels, gold = [], []
     for doc_id, gold_labels in gold_docs:
         if gold_labels.count(None) == len(gold_labels):
             continue
-        pred = pred_labels.get(doc_id)
+        pred = predicted.get(doc_id)
         if pred is None:
             raise CorpusError(f"label-file mismatch: document {doc_id} missing from {pred_name}")
         if len(pred) != len(gold_labels):
@@ -519,10 +504,10 @@ def _sentence_pairs(gold_docs, pred_labels: dict, pred_name: str):
             gold_labels = compress(gold_labels, kept)
             pred = compress(pred, kept)
         gold.extend(gold_labels)
-        predicted.extend(pred)
+        predicted_labels.extend(pred)
     if not gold:
-        raise CorpusError("no gold sentence labels found in the gold corpus")
-    return predicted, gold
+        raise CorpusError(f"no {unit} labels found in the gold corpus")
+    return predicted_labels, gold
 
 
 def _majority_label(doc: Document) -> int | None:
@@ -531,23 +516,6 @@ def _majority_label(doc: Document) -> int | None:
     if None in labels:
         labels = [label for label in labels if label is not None]
     return mil.document_vote(labels, None if None in scores else scores)[0]
-
-
-def _document_pairs(gold_docs, pred_votes: dict, pred_name: str):
-    """(predicted, gold) labels of every gold-labelled document: `gold_docs`
-    holds (id, label) per gold document in file order, and `pred_votes` the
-    `_majority_label` of each predicted document by id."""
-    predicted, gold = [], []
-    for doc_id, label in gold_docs:
-        if label is None:
-            continue
-        if doc_id not in pred_votes:
-            raise CorpusError(f"label-file mismatch: document {doc_id} missing from {pred_name}")
-        gold.append(label)
-        predicted.append(pred_votes[doc_id])
-    if not gold:
-        raise CorpusError("no document labels found in the gold corpus")
-    return predicted, gold
 
 
 def cmd_evaluate(args) -> int:
@@ -564,15 +532,16 @@ def cmd_evaluate(args) -> int:
     # but only what the pairing reads is kept: sentence labels, or a
     # document's label and the vote of its prediction
     by_sentence = args.mode == "sentence"
-    gold_docs = [(doc.id, doc.sentences.labels if by_sentence else doc.label)
+    unit = "gold sentence" if by_sentence else "document"
+    gold_docs = [(doc.id, doc.sentences.labels if by_sentence else (doc.label,))
                  for doc in iter_corpus(args.gold)]
-    pairs = _sentence_pairs if by_sentence else _document_pairs
     reports: dict[str, evaluate.EvalReport] = {}
     for name, path in methods.items():
         _require_file(path, f"predictions file for {name}")
-        predicted = {doc.id: doc.sentences.labels if by_sentence else _majority_label(doc)
+        predicted = {doc.id: doc.sentences.labels if by_sentence else (_majority_label(doc),)
                      for doc in iter_corpus(path)}
-        reports[name] = evaluate.score_predictions(*pairs(gold_docs, predicted, path))
+        reports[name] = evaluate.score_predictions(
+            *_label_pairs(gold_docs, predicted, path, unit))
 
     title = f"Out-of-sample predictive performance ({args.mode}-level)"
     if args.format == "json":
@@ -582,13 +551,12 @@ def cmd_evaluate(args) -> int:
     if args.out:
         with atomic_write(args.out) as handle:
             handle.write(rendered + "\n")
-        manifest = _manifest(
-            "evaluate", args,
+        _write_manifest(
+            args, args.out,
             config={"mode": args.mode, "format": args.format},
             inputs={"gold": args.gold, "predictions": ",".join(args.predictions)},
             outputs={"report": args.out},
         )
-        manifest.write(_manifest_path(args, args.out))
     else:
         print(rendered)
     return EXIT_OK
@@ -625,19 +593,16 @@ span.neutral {{ background: none; }}
 
 
 def _render_ansi(doc: Document) -> str:
-    lines = []
-    for sentence in doc.sentences:
-        if sentence.predicted_label is None:
-            lines.append(sentence.text)
-        else:
-            lines.append(f"{_ANSI[sentence.predicted_label]}{sentence.text}{_ANSI_RESET}")
-    return "\n".join(lines)
+    return "\n".join(
+        text if label is None else f"{_ANSI[label]}{text}{_ANSI_RESET}"
+        for text, label in zip(doc.sentences.texts, doc.sentences.labels)
+    )
 
 
 def _render_html(doc: Document) -> str:
     spans = [
-        f'<span class="{_CSS_CLASS[s.predicted_label]}">{html_mod.escape(s.text)}</span>'
-        for s in doc.sentences
+        f'<span class="{_CSS_CLASS[label]}">{html_mod.escape(text)}</span>'
+        for text, label in zip(doc.sentences.texts, doc.sentences.labels)
     ]
     return _HTML_PAGE.format(title=html_mod.escape(doc.id), body="\n".join(spans))
 
@@ -650,7 +615,7 @@ def cmd_render(args) -> int:
             doc = candidate
     if doc is None:
         raise UsageError(f"unknown document id {args.doc_id!r}")
-    if not any(s.predicted_label is not None for s in doc.sentences):
+    if doc.sentences.labels.count(None) == len(doc.sentences):
         raise UsageError(
             f"document {args.doc_id!r} has no sentence predictions; run 'milsent predict' first"
         )
@@ -660,13 +625,12 @@ def cmd_render(args) -> int:
             handle.write(rendered)
             if not rendered.endswith("\n"):
                 handle.write("\n")
-        manifest = _manifest(
-            "render", args,
+        _write_manifest(
+            args, args.out,
             config={"format": args.format, "doc_id": args.doc_id},
             inputs={"corpus": args.corpus},
             outputs={"rendered": args.out},
         )
-        manifest.write(_manifest_path(args, args.out))
     else:
         print(rendered)
     return EXIT_OK
@@ -768,6 +732,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    args.started_at = _now()
     try:
         return args.func(args)
     # every layer's error derives from one of the bases in `corpus`, so an

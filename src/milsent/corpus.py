@@ -19,16 +19,16 @@ The module also holds the two error bases the command line catches:
 error class derives from one of them, so catching them executes no layer.
 
 A document keeps its sentences as columns, not as one object per sentence:
-`Sentences` holds a tuple each of texts, token tuples, labels and scores,
-exactly the four sentence arrays of a corpus record. It checks the columns
-once, when it is built. Indexing or iterating it yields `SentenceInstance`
-views, built on demand: each costs one `SentenceInstance` construction,
-checks included, and nothing is cached. Reading and writing a corpus,
-`with_predictions`, embedding, prediction and evaluation read and write
-the columns and build no view; code that walks `doc.sentences` one
-sentence at a time (rendering, preprocessing input, user scripts) gets
-views. Sentence vectors are not part of a document: `embed.embed_matrix`
-returns them as one matrix, one row per sentence in corpus order.
+`Sentences` is a frozen dataclass of four tuples, texts, token tuples,
+labels and scores, exactly the four sentence arrays of a corpus record. It
+checks the columns once, when it is built, and compares and hashes as its
+columns. Every stage of the package reads and writes the columns. For
+scripts that walk a document one sentence at a time, iterating
+`doc.sentences` yields `SentenceInstance` views, each one checked
+`SentenceInstance` construction, and `Document` takes any iterable of such
+views as its sentences. Sentence vectors are not part of a document:
+`embed.embed_matrix` returns them as one matrix, one row per sentence in
+corpus order.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Sequence as SequenceABC
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import date
@@ -130,7 +129,8 @@ def _check_prediction(label, score) -> None:
 
 @dataclass(frozen=True)
 class SentenceInstance:
-    """One sentence of a document: the instance of the MIL problem."""
+    """One sentence of a document, the instance of the MIL problem: the view
+    that iterating `Sentences` yields."""
 
     text: str
     tokens: tuple[str, ...] = ()
@@ -147,24 +147,29 @@ _AT_LEAST_HALF = (0.5).__le__
 _SENTENCE_FIELDS = attrgetter("text", "tokens", "predicted_label", "score")
 
 
-class Sentences(SequenceABC):
+@dataclass(frozen=True, slots=True)
+class Sentences:
     """The sentences of a document as columns, one entry per sentence.
 
     `texts`, `tokens` (one tuple of strings per sentence), `labels` and
-    `scores` are tuples; `labels` and `scores` default to all None, `tokens`
-    to all empty. The columns are checked once, here, and cannot be
-    reassigned; indexing or iterating builds `SentenceInstance` views, and a
-    slice is a `Sentences`.
+    `scores` are given as any iterables and kept as tuples; `labels` and
+    `scores` default to all None, `tokens` to all empty. The columns are
+    checked once, here, and cannot be reassigned. Equality, hash and repr
+    are those of the four columns; iterating builds `SentenceInstance`
+    views, one per sentence.
     """
 
-    __slots__ = ("texts", "tokens", "labels", "scores")
+    texts: tuple[str, ...] = ()
+    tokens: tuple[tuple[str, ...], ...] | None = None
+    labels: tuple[int | None, ...] | None = None
+    scores: tuple[float | None, ...] | None = None
 
-    def __init__(self, texts: Iterable[str] = (), tokens=None, labels=None, scores=None):
-        texts = tuple(texts)
+    def __post_init__(self):
+        texts = tuple(self.texts)
         n = len(texts)
-        tokens = ((),) * n if tokens is None else tuple(tokens)
-        labels = (None,) * n if labels is None else tuple(labels)
-        scores = (None,) * n if scores is None else tuple(scores)
+        tokens = ((),) * n if self.tokens is None else tuple(self.tokens)
+        labels = (None,) * n if self.labels is None else tuple(self.labels)
+        scores = (None,) * n if self.scores is None else tuple(self.scores)
         if not len(tokens) == len(labels) == len(scores) == n:
             raise CorpusError("sentence columns have mismatched lengths")
         # whole-column tests first; the per-sentence rule only finds the
@@ -182,38 +187,11 @@ class Sentences(SequenceABC):
         _set(self, "labels", labels)
         _set(self, "scores", scores)
 
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"Sentences is immutable; cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    @classmethod
-    def of(cls, sentences: Iterable[SentenceInstance]) -> Sentences:
-        """The columns of `SentenceInstance`s."""
-        return cls(*(list(zip(*map(_SENTENCE_FIELDS, sentences))) or [()] * 4))
-
     def __len__(self) -> int:
         return len(self.texts)
 
-    def __getitem__(self, index):
-        kind = Sentences if isinstance(index, slice) else SentenceInstance
-        return kind(self.texts[index], self.tokens[index], self.labels[index],
-                    self.scores[index])
-
     def __iter__(self):
         return map(SentenceInstance, self.texts, self.tokens, self.labels, self.scores)
-
-    def __eq__(self, other):
-        """Equal to a `Sentences` or a tuple with equal views in order."""
-        if not isinstance(other, (Sentences, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and tuple(self) == tuple(other)
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"Sentences({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -231,7 +209,8 @@ class Document:
 
     def __post_init__(self):
         if type(self.sentences) is not Sentences:
-            object.__setattr__(self, "sentences", Sentences.of(self.sentences))
+            columns = zip(*map(_SENTENCE_FIELDS, self.sentences))
+            object.__setattr__(self, "sentences", Sentences(*columns))
         if self.label is not None and self.label not in (POSITIVE, NEGATIVE):
             raise CorpusError(f"document {self.id}: label must be 0 or 1")
         if self.abnormal_return is not None and not math.isfinite(self.abnormal_return):

@@ -388,6 +388,24 @@ def naive_sentence_pairs(gold_docs, pred_docs, pred_name: str):
     return predicted, gold
 
 
+def naive_document_pairs(gold_docs, pred_docs, pred_name: str):
+    """`milsent evaluate --mode document` pairing, one sentence object at a
+    time: (predicted votes, gold labels) of every labelled gold document."""
+    pred_by_id = {d.id: d for d in pred_docs}
+    predicted, gold = [], []
+    for doc in gold_docs:
+        if doc.label is None:
+            continue
+        pred_doc = pred_by_id.get(doc.id)
+        if pred_doc is None:
+            raise CorpusError(f"label-file mismatch: document {doc.id} missing from {pred_name}")
+        gold.append(doc.label)
+        predicted.append(naive_majority_label(pred_doc))
+    if not gold:
+        raise CorpusError("no document labels found in the gold corpus")
+    return predicted, gold
+
+
 def naive_majority_label(doc):
     """Vote of the labelled sentences; ties consult scores only if all have one."""
     labels = [s.predicted_label for s in doc.sentences if s.predicted_label is not None]

@@ -2,8 +2,10 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
-from datetime import date, timedelta
+from dataclasses import replace
+from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +22,8 @@ from milsent.eventstudy import EventLabelConfig
 from milsent.mil import MilModel, TrainConfig, generate_synthetic, load_model, save_model
 from milsent.preprocess import PreprocessConfig
 from conftest import write_jsonl, write_price_csv
-from reference import (naive_document_vote, naive_embed_matrix, naive_majority_label,
-                       naive_predict, naive_sentence_pairs)
+from reference import (naive_document_pairs, naive_document_vote, naive_embed_matrix,
+                       naive_majority_label, naive_predict, naive_sentence_pairs)
 
 
 def write_config(path, **overrides):
@@ -144,6 +146,19 @@ class TestPreprocess:
         assert manifest["command"] == "preprocess"
         assert manifest["metrics"]["documents_out"] == 2
         assert manifest["config"]["min_count"] == 1
+
+    def test_manifest_spans_the_run(self, tmp_path, monkeypatch):
+        def slow_load(path):
+            time.sleep(0.2)
+            return load_corpus(path)
+
+        monkeypatch.setattr(cli, "load_corpus", slow_load)
+        out = tmp_path / "processed.jsonl"
+        assert main(["preprocess", str(news_corpus(tmp_path)), str(out)]) == 0
+        manifest = json.loads((tmp_path / "processed.jsonl.manifest.json").read_text())
+        started, finished = (datetime.fromisoformat(manifest[key])
+                             for key in ("started_at", "finished_at"))
+        assert (finished - started).total_seconds() >= 0.2
 
 
 class TestLabel:
@@ -380,7 +395,7 @@ class TestPredict:
         assert out.read_bytes() == ref.read_bytes()
         assert (tmp_path / "pred.jsonl.docs.json").read_text() == \
             json.dumps(summaries, indent=2, sort_keys=True) + "\n"
-        assert "bare" not in summaries and load_corpus(out)[-1].sentences == ()
+        assert "bare" not in summaries and load_corpus(out)[-1].sentences == Sentences()
         # one summary line and one manifest count for the zero-vector sentences
         X = naive_embed_matrix(load_corpus(corpus), load_embeddings(vectors))
         zero = [x for x in X if not x.any()]
@@ -781,6 +796,23 @@ class TestEvaluate:
         assert rc == 0
         assert "document-level" in capsys.readouterr().out
 
+    def test_document_mode_votes_each_prediction(self, tmp_path, capsys):
+        """A tied vote goes by the mean score, or stays neutral without scores."""
+        base = {"ticker": "X", "published_at": "2005-01-01", "text": "x"}
+        gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+        predictions = [("pos", ["pos", "neg"], [0.9, 0.4]),   # mean 0.65: pos
+                       ("neg", ["pos", "neg"], [0.6, 0.1]),   # mean 0.35: neg
+                       ("neg", ["pos", "pos", "neg"], None),  # majority: pos
+                       ("pos", ["pos", "neg"], None)]         # tie, no scores: neutral
+        write_jsonl(gold, [{**base, "id": f"d{i}", "label": label}
+                           for i, (label, _, _) in enumerate(predictions)])
+        write_jsonl(pred, [{**base, "id": f"d{i}", "sentences": ["s"] * len(labels),
+                            "sentence_labels": labels, "sentence_scores": scores}
+                           for i, (_, labels, scores) in enumerate(predictions)])
+        assert main(["evaluate", str(gold), f"m={pred}", "--mode", "document",
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["methods"]["m"]["accuracy"] == 0.5
+
     def test_json_format(self, tmp_path, capsys):
         gold, perfect, _ = evaluation_files(tmp_path)
         rc = main(["evaluate", str(gold), f"mil={perfect}", "--format", "json"])
@@ -842,42 +874,65 @@ class TestEvaluatePairingOracle:
     @settings(max_examples=300, deadline=None)
     @given(gold=LABEL_LISTS, predicted=LABEL_LISTS,
            scored=st.lists(st.booleans(), min_size=6, max_size=6),
+           doc_labels=st.lists(st.sampled_from([None, 0, 1]), min_size=6, max_size=6),
            drop=st.sets(st.integers(0, 5), max_size=2))
-    def test_pairs_and_votes_equal_the_per_sentence_code(self, gold, predicted, scored, drop):
-        gold_docs = _labelled_docs(gold, [False] * len(gold), "d")
+    def test_pairs_and_votes_equal_the_per_sentence_code(self, gold, predicted, scored,
+                                                         doc_labels, drop):
+        gold_docs = [replace(doc, label=label) for doc, label in
+                     zip(_labelled_docs(gold, [False] * len(gold), "d"), doc_labels)]
         pred_docs = [d for i, d in enumerate(_labelled_docs(predicted, scored, "d"))
                      if i not in drop]
 
         def outcome(pairing, *files):
             try:
-                return pairing(*files, "p.jsonl")
+                return pairing(*files)
             except CorpusError as exc:
                 return str(exc)
 
-        # what `evaluate --mode sentence` keeps of each file
-        gold_labels = [(doc.id, doc.sentences.labels) for doc in gold_docs]
-        pred_labels = {doc.id: doc.sentences.labels for doc in pred_docs}
-        assert outcome(cli._sentence_pairs, gold_labels, pred_labels) == \
-            outcome(naive_sentence_pairs, gold_docs, pred_docs)
+        # what `evaluate` keeps of each file, by sentence and by document
+        kept = {
+            "sentence": ([(doc.id, doc.sentences.labels) for doc in gold_docs],
+                         {doc.id: doc.sentences.labels for doc in pred_docs},
+                         "gold sentence", naive_sentence_pairs),
+            "document": ([(doc.id, (doc.label,)) for doc in gold_docs],
+                         {doc.id: (cli._majority_label(doc),) for doc in pred_docs},
+                         "document", naive_document_pairs),
+        }
+        for gold_labels, pred_labels, unit, naive in kept.values():
+            assert outcome(cli._label_pairs, gold_labels, pred_labels, "p.jsonl", unit) == \
+                outcome(naive, gold_docs, pred_docs, "p.jsonl")
         for doc in pred_docs:
             assert cli._majority_label(doc) == naive_majority_label(doc)
 
 
 class TestNoSentenceObjects:
-    def test_predict_and_evaluate_build_none(self, tmp_path, monkeypatch):
+    def test_no_command_builds_one(self, tmp_path, monkeypatch):
+        """Every command reads and writes the sentence columns: none builds a
+        `SentenceInstance` view."""
+        raw = news_corpus(tmp_path)
+        prices_dir, index_path = price_fixtures(tmp_path)
+        cfg = write_config(tmp_path / "demo.cfg")
         corpus, vectors = word_average_files(tmp_path, n_docs=12)
         model_path, out = tmp_path / "model.json", tmp_path / "pred.jsonl"
-        save_model(MilModel(theta=np.ones(7), dim=6, config=TrainConfig()), model_path)
         gold = tmp_path / "gold.jsonl"
         records = [json.loads(line) for line in corpus.read_text().splitlines()]
         write_jsonl(gold, [{**r, "sentence_labels": ["pos"] * len(r["sentences"])}
                            for r in records])
         built = []
         monkeypatch.setattr(SentenceInstance, "__post_init__", lambda self: built.append(self))
-        assert main(["predict", str(model_path), str(corpus), str(vectors), str(out)]) == 0
-        for mode in ("sentence", "document"):
-            assert main(["evaluate", str(gold), f"mil={out}", "--mode", mode,
-                         "--out", str(tmp_path / f"{mode}.txt")]) == 0
+        commands = [
+            ["preprocess", raw, tmp_path / "p.jsonl", "--config", cfg],
+            ["label", tmp_path / "p.jsonl", prices_dir, index_path, tmp_path / "l.jsonl",
+             "--config", cfg],
+            ["train", corpus, vectors, model_path, "--epochs", "1"],
+            ["predict", model_path, corpus, vectors, out],
+            *(["evaluate", gold, f"mil={out}", "--mode", mode, "--out", tmp_path / f"{mode}.txt"]
+              for mode in ("sentence", "document")),
+            *(["render", out, "d01", "--format", fmt, "--out", tmp_path / f"d01.{fmt}"]
+              for fmt in ("ansi", "html")),
+        ]
+        for argv in commands:
+            assert main(list(map(str, argv))) == 0, argv
         assert built == []
 
 
@@ -1179,6 +1234,17 @@ class TestConfigKeys:
                      "--embedding-format", "sentence", flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}") and "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry", ["lr=0.1", "lam=1,10"])
+    def test_grid_entry_is_a_training_key(self, tmp_path, capsys, entry):
+        """A grid entry is named by its config key: `lambda`, `learning_rate`
+        or `momentum`; no alias is taken."""
+        corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=5)
+        out = tmp_path / "m.json"
+        assert main(["train", str(corpus), str(vectors), str(out),
+                     "--embedding-format", "sentence", "--grid", entry]) == 2
+        assert f"error: bad grid entry {entry!r}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -248,7 +248,8 @@ class TestSentenceColumns:
 
 
 class TestSentenceViews:
-    """The forms scripts use on `doc.sentences`, as `perfbench/stages.py` does."""
+    """`Sentences` is its four columns; iterating it yields `SentenceInstance`
+    views for scripts that walk one sentence at a time."""
 
     def _doc(self):
         return make_doc(sentences=(
@@ -264,35 +265,46 @@ class TestSentenceViews:
         assert (first.text, first.tokens, first.predicted_label, first.score) == \
             ("a b.", ("a", "b"), 1, 0.75)
         assert second.tokens == ("c",)
-        assert doc.sentences[-1] == third == SentenceInstance("d.", predicted_label=0)
-        with pytest.raises(IndexError):
-            doc.sentences[3]
+        assert third == SentenceInstance("d.", predicted_label=0)
+        assert [s.text for s in doc.sentences] == list(doc.sentences.texts)
+        with pytest.raises(TypeError):
+            doc.sentences[0]  # no indexing: read a column
 
-    def test_equality_with_tuples_and_slices(self):
+    def test_equal_columns_compare_and_hash(self):
         doc = self._doc()
-        views = tuple(doc.sentences)
-        assert doc.sentences == views and views == tuple(doc.sentences)
-        assert doc.sentences != views[:2] and doc.sentences != list(views)
-        assert doc.sentences[1:] == views[1:] and isinstance(doc.sentences[1:], Sentences)
-        assert doc.sentences[::-1] == views[::-1]
-        assert make_doc().sentences == () and not make_doc().sentences
+        columns = doc.sentences
+        # what indexing, slices and `in` did, on a column
+        assert columns.tokens[1] == ("c",) and columns.labels[-1] == 0
+        assert columns.texts[1:] == ("c.", "d.") and columns.scores[::-1] == (None, None, 0.75)
+        assert "c." in columns.texts and columns.texts.index("d.") == 2
+        same = Sentences(list(columns.texts), iter(columns.tokens), columns.labels,
+                         list(columns.scores))
+        assert same == columns and hash(same) == hash(columns)
+        assert same.texts == columns.texts and type(same.tokens) is tuple
+        assert Sentences(columns.texts) != columns
+        # a tuple of views is not its columns; a `Document` takes it as them
+        assert columns != tuple(columns) and replace(doc, sentences=tuple(columns)) == doc
+        assert make_doc().sentences == Sentences() and not make_doc().sentences
         assert doc == replace(doc) and hash(doc) == hash(replace(doc))
-        assert views[1] in doc.sentences and doc.sentences.index(views[2]) == 2
+        assert repr(Sentences(["a."], labels=[1])) == \
+            "Sentences(texts=('a.',), tokens=((),), labels=(1,), scores=(None,))"
 
     def test_replace_on_documents_and_views(self):
+        """The three forms `perfbench/stages.py` uses: iterating
+        `doc.sentences`, `replace` on a view, and a `Document` built from a
+        tuple of views."""
         doc = self._doc()
         relabelled = replace(doc, sentences=tuple(
             replace(s, predicted_label=1, score=None) for s in doc.sentences))
         assert relabelled.sentences.labels == (1, 1, 1)
         assert relabelled.sentences.scores == (None, None, None)
         assert relabelled.sentences.texts == doc.sentences.texts
-        assert replace(doc, sentences=doc.sentences[:1]).sentences.texts == ("a b.",)
+        assert relabelled.sentences.tokens == doc.sentences.tokens
         with pytest.raises(CorpusError, match="inconsistent"):
-            replace(doc.sentences[0], predicted_label=0)
+            replace(next(iter(doc.sentences)), predicted_label=0)
         # any iterable of sentences
         built = Document("x", "X", date(2005, 1, 3), "t", sentences=iter(doc.sentences))
         assert built.sentences == doc.sentences
-
 
     def test_documents_from_columns_compare_and_hash(self):
         columns = {"tokens": [("a",), ()], "labels": [1, 0], "scores": [0.75, 0.25]}
@@ -321,9 +333,13 @@ class TestNoSentenceObjects:
         save_corpus(predicted, tmp_path / "out.jsonl")
         X = embed_matrix(docs, hash_fallback_store(dim=3))
         assert to_mil_dataset([replace(d, label=1) for d in docs], X).n_instances == 6
+        reloaded = load_corpus(tmp_path / "out.jsonl")
+        assert reloaded == predicted and hash(reloaded[2]) == hash(predicted[2])
+        assert reloaded[2].sentences.scores[1] == 0.25
         assert built == []
-        assert load_corpus(tmp_path / "out.jsonl")[2].sentences[1].score == 0.25
-        assert len(built) == 1
+        # the probe sees a view when one is built
+        assert [s.score for s in reloaded[2].sentences] == [0.5, 0.25]
+        assert len(built) == 2
 
 
 VALID_RECORD = {
