@@ -309,7 +309,7 @@ def _parse_grid(text: str, base: mil.TrainConfig) -> mil.GridSpec:
         if not part:
             continue
         key, sep, raw = part.partition("=")
-        key = key.strip().lower()
+        key = key.strip()
         if not sep or key not in names:
             raise UsageError(
                 f"bad grid entry {part!r}; expected lambda=...;learning_rate=...;momentum=..."
@@ -556,6 +556,7 @@ def cmd_evaluate(args) -> int:
             config={"mode": args.mode, "format": args.format},
             inputs={"gold": args.gold, "predictions": ",".join(args.predictions)},
             outputs={"report": args.out},
+            metrics={name: report.to_dict() for name, report in reports.items()},
         )
     else:
         print(rendered)

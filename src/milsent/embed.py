@@ -181,12 +181,12 @@ def _averages(token_lists: Sequence[Sequence[str]], store: EmbeddingStore) -> np
     index, table = _token_table(set(chain.from_iterable(token_lists)), store)
     rows, counts = _sorted_rows(token_lists, index)
     out = np.zeros((len(token_lists), store.dim))
-    for chunk, index in rows_by_count(counts):
+    for chunk, index in _rows_by_count(counts):
         out[chunk] = np.mean(table[rows[index]], axis=1)
     return out
 
 
-def rows_by_count(counts: np.ndarray):
+def _rows_by_count(counts: np.ndarray):
     """Chunks (items, index) of the items with k > 0 rows each, grouped by k,
     at most `GATHER_ROWS` rows a chunk: `items` are m item positions in
     ascending order and `index` is the m x k index of their rows in the

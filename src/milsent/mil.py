@@ -20,12 +20,15 @@ One kernel sweep serves any number of score columns: training keeps the
 scores after every epoch and traces the exact full-data loss of all epochs
 in a single sweep at the end, not one sweep per epoch.
 
-Prediction has one path: `sentence_scores` scores an instance matrix or a
-stack of equal-sized groups, `group_scores` scores consecutive groups of
-any sizes through such stacks, `sentence_labels` applies the 0.5 rule and
-`document_vote` takes the majority. `document_accuracy`, which
-`grid_search` and the `train` command report, and the `predict` command
-all score through `group_scores` and vote through `group_votes`.
+Every sentence score, in training and in prediction, comes from one
+product, `_linear_scores`, which reduces each row of a C-ordered matrix on
+its own: a sentence's score depends only on its own vector, not on the
+rows scored with it. `sentence_scores` scores an instance matrix,
+`group_scores` scores consecutive groups of any sizes in one such call,
+`sentence_labels` applies the 0.5 rule and `document_vote` takes the
+majority. `document_accuracy`, which `grid_search` and the `train` command
+report, and the `predict` command all score through `group_scores` and
+vote through `group_votes`.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from milsent.corpus import (CorpusError, DataError, Document, NEGATIVE, POSITIVE
                             UsageError, atomic_write)
 
 np = lazy_import("numpy")
-embed = lazy_import("milsent.embed")
 
 MODEL_FORMAT = "milsent-model"
 MODEL_VERSION = 1
@@ -200,7 +202,10 @@ def sigmoid(z) -> np.ndarray:
 
 
 def _linear_scores(theta: np.ndarray, use_bias: bool, X: np.ndarray) -> np.ndarray:
-    z = X @ (theta[:-1] if use_bias else theta)
+    """X times the weights, plus the bias, each row reduced on its own in C
+    order: unlike a BLAS product, whose last bit depends on where a row sits
+    in the matrix, a row's score does not depend on the rows around it."""
+    z = np.einsum("ij,j->i", np.ascontiguousarray(X), theta[:-1] if use_bias else theta)
     return z + theta[-1] if use_bias else z
 
 
@@ -209,55 +214,47 @@ def _raw_scores(theta: np.ndarray, use_bias: bool, X: np.ndarray) -> np.ndarray:
 
 
 class ScoreError(ValueError):
-    """A linear score that is not finite. `index` locates it in the scored
-    array: (row,) for a group, (group, row) for a stack of groups."""
+    """A linear score that is not finite, at `index`: (row,) in a scored
+    matrix, (group, row) in the groups of `group_scores`."""
 
-    def __init__(self, message: str, index: tuple[int, ...]):
-        super().__init__(message)
-        self.index = index
+    def __init__(self, index: tuple[int, ...], value: float):
+        super().__init__(f"row {index[-1]}: linear score {value} is not finite")
+        self.index, self.value = index, value
 
 
 def sentence_scores(model: MilModel, X) -> np.ndarray:
-    """The scores of an n x d instance matrix (n > 0), or the m x k scores of
-    an m x k x d stack of k-sentence groups (k > 0), in one batched product.
-    Each row of a stack is bit-identical to scoring that group alone. A
-    single product over all m * k rows is not: BLAS blocks a taller matrix
-    differently and may round the last bit otherwise.
+    """The scores of an n x d instance matrix (n > 0). A row's score is
+    bit-identical whether it is scored alone or inside any matrix.
 
     A linear score that overflows is a `ScoreError`, not a saturated score:
-    the sign of an overflowed sum depends on the BLAS accumulation order."""
+    which infinity, or nan, an overflowed sum reaches depends on the order
+    of its terms, so it has no defined label."""
     X = np.asarray(X, dtype=float)
-    if X.ndim not in (2, 3) or X.shape[-2] == 0 or X.shape[-1] != model.dim:
-        raise ValueError(f"expected a non-empty instance matrix, or a stack of them, with "
-                         f"{model.dim} columns, got shape {X.shape}")
+    if X.ndim != 2 or not len(X) or X.shape[1] != model.dim:
+        raise ValueError(f"expected a non-empty instance matrix with {model.dim} columns, "
+                         f"got shape {X.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         z = _linear_scores(model.theta, model.config.use_bias, X)
-    bad = np.argwhere(~np.isfinite(z))
+    bad = np.flatnonzero(~np.isfinite(z))
     if len(bad):
-        index = tuple(bad[0].tolist())
-        raise ScoreError(f"row {index[-1]}: linear score {z[index]} is not finite", index)
+        raise ScoreError((int(bad[0]),), float(z[bad[0]]))
     return sigmoid(z)
 
 
 def group_scores(model: MilModel, X, sizes) -> np.ndarray:
     """The scores of the rows of X, group i's sizes[i] rows (possibly none)
-    after those of the groups before it: one stacked product per
-    `rows_by_count` chunk of groups of equal size, each group's scores
-    bit-identical to scoring its rows alone. An overflowing score is a
-    `ScoreError` indexed (group, row) at the first group, in order, that
-    has one."""
-    scores = np.empty(len(X))
-    first = None
-    for chunk, index in embed.rows_by_count(sizes):
-        try:
-            scores[index] = sentence_scores(model, X[index])
-        except ScoreError as exc:
-            group = int(chunk[exc.index[0]])
-            if first is None or group < first.index[0]:
-                first = ScoreError(str(exc), (group, exc.index[1]))
-    if first is not None:
-        raise first
-    return scores
+    after those of the groups before it, in one `sentence_scores` call: each
+    group's scores are those of its rows scored alone. An overflowing score
+    is a `ScoreError` indexed (group, row) at the first one in X."""
+    if not len(X):
+        return np.empty(0)
+    try:
+        return sentence_scores(model, X)
+    except ScoreError as exc:
+        ends = np.cumsum(sizes)
+        row = exc.index[0]
+        group = int(np.searchsorted(ends, row, side="right"))
+        raise ScoreError((group, row - int(ends[group] - sizes[group])), exc.value) from None
 
 
 def sentence_labels(scores) -> np.ndarray:

@@ -408,12 +408,12 @@ class TestPredict:
         assert manifest["metrics"] == {"zero_vector_sentences": len(zero)}
 
     @pytest.mark.parametrize("gather_rows", [5, embed.GATHER_ROWS])
-    def test_stacked_groups_equal_per_document_scoring(self, tmp_path, monkeypatch,
-                                                        gather_rows):
-        """Sentence counts 1 to 12, each count's group split over chunks (a
-        1030-document one-sentence group exceeds the real chunk), and
-        documents without sentences, byte for byte against scoring each
-        document's rows alone."""
+    def test_corpus_scores_equal_per_document_scoring(self, tmp_path, monkeypatch,
+                                                       gather_rows):
+        """Documents of 1 to 12 sentences, and documents without sentences,
+        embedded `gather_rows` token rows at a time (1030 one-sentence
+        documents exceed the real gather): the whole corpus, scored in one
+        call, byte for byte against scoring each document's rows alone."""
         monkeypatch.setattr(embed, "GATHER_ROWS", gather_rows)
         rng = np.random.default_rng(12)
         words = [f"w{i}" for i in range(40)]
@@ -442,13 +442,10 @@ class TestPredict:
             json.dumps(summaries, indent=2, sort_keys=True) + "\n"
         assert len(summaries) == len(counts) - counts.count(0)
 
-    def test_overflow_inside_a_stacked_group_names_its_document(self, tmp_path, monkeypatch,
-                                                                capsys):
-        """Documents g000-g011 of three sentences form one group over several
-        chunks; g007 row 1 overflows, and so does g010's last row. A later
-        two-sentence document, scored in an earlier group, overflows too:
-        the message names the first document in corpus order."""
-        monkeypatch.setattr(embed, "GATHER_ROWS", 6)
+    def test_overflow_names_the_first_document_in_corpus_order(self, tmp_path, capsys):
+        """Documents g000-g011 have three sentences and g012-g013 two; g007
+        row 1 overflows, and so do g010's last row and g013's first: the
+        message names g007, the first in corpus order."""
         sizes = [3] * 12 + [2, 2]
         bad = {("g007", 1), ("g010", 2), ("g013", 0)}
         rng = np.random.default_rng(5)
@@ -812,6 +809,21 @@ class TestEvaluate:
         assert main(["evaluate", str(gold), f"m={pred}", "--mode", "document",
                      "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["methods"]["m"]["accuracy"] == 0.5
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_manifest_records_each_report(self, tmp_path, capsys, fmt):
+        """The manifest of `--out` holds each method's report; the report
+        file is what the command prints without `--out`."""
+        gold, perfect, mixed = evaluation_files(tmp_path)
+        argv = ["evaluate", str(gold), f"mil={perfect}", f"bow={mixed}", "--format", fmt]
+        out = tmp_path / "report.txt"
+        assert main(argv) == 0
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
+        metrics = json.loads((tmp_path / "report.txt.manifest.json").read_text())["metrics"]
+        assert main(argv[:-1] + ["json"]) == 0
+        assert metrics == json.loads(capsys.readouterr().out)["methods"]
+        assert list(metrics) == ["bow", "mil"] and metrics["mil"]["accuracy"] == 1.0
 
     def test_json_format(self, tmp_path, capsys):
         gold, perfect, _ = evaluation_files(tmp_path)
@@ -1236,10 +1248,10 @@ class TestConfigKeys:
         assert err.startswith(f"error: {flag}") and "finite" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("entry", ["lr=0.1", "lam=1,10"])
+    @pytest.mark.parametrize("entry", ["lr=0.1", "lam=1,10", "LAMBDA=1,2"])
     def test_grid_entry_is_a_training_key(self, tmp_path, capsys, entry):
         """A grid entry is named by its config key: `lambda`, `learning_rate`
-        or `momentum`; no alias is taken."""
+        or `momentum`, spelled as in a config file; no alias is taken."""
         corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=5)
         out = tmp_path / "m.json"
         assert main(["train", str(corpus), str(vectors), str(out),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from milsent import embed, mil
+from milsent import mil
 from milsent.corpus import CorpusError
 from milsent.mil import (
     GridSpec,
@@ -143,9 +143,34 @@ class TestScores:
         model = model_of([1.0], dim=1, config=NO_BIAS)
         assert score_of(model, np.array([2.0])) == pytest.approx(scalar_sigmoid(2.0))
 
+    def test_shape_checks(self):
+        model = model_of(np.zeros(3), dim=2)
+        for bad in (np.zeros(2), np.zeros((0, 2)), np.zeros((2, 3)), np.zeros((2, 1)),
+                    np.zeros((2, 1, 2))):
+            with pytest.raises(ValueError, match="^expected a non-empty instance matrix "
+                                                 "with 2 columns"):
+                sentence_scores(model, bad)
+
+    @pytest.mark.parametrize("use_bias", [True, False])
+    def test_a_row_scores_the_same_in_any_matrix(self, use_bias):
+        """A row's score is bit-equal scored alone, inside a taller matrix,
+        inside an offset slice and inside a Fortran-ordered copy: a BLAS
+        product rounds a row's last bit by where the row sits."""
+        rng = np.random.default_rng(9)
+        for n, d in ((7, 1), (13, 3), (50, 50), (301, 50), (9, 300), (123, 300)):
+            model = model_of(rng.standard_normal(d + use_bias), dim=d,
+                             config=TrainConfig(use_bias=use_bias))
+            X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+            alone = np.concatenate([sentence_scores(model, X[i:i + 1].copy())
+                                    for i in range(n)])
+            np.testing.assert_array_equal(sentence_scores(model, X), alone)
+            np.testing.assert_array_equal(sentence_scores(model, np.asfortranarray(X)), alone)
+            lo = n // 3
+            np.testing.assert_array_equal(sentence_scores(model, X[lo:]), alone[lo:])
+
     def test_overflowing_linear_score_is_an_error(self):
-        # the sign of an overflowed dot product depends on the BLAS
-        # accumulation order, so such a score has no defined label
+        # which infinity, or nan, an overflowed dot product reaches depends
+        # on the order of its terms, so such a score has no defined label
         model = model_of([2.0, -2.0], dim=2, config=NO_BIAS)
         huge = [1e308, 1e308]
         with pytest.raises(ValueError, match="row 1"):
@@ -155,36 +180,16 @@ class TestScores:
         with pytest.raises(ValueError, match="row 0"):
             sentence_scores(model_of([1.0, 1.0], dim=2, config=NO_BIAS), np.array([huge]))
 
-
-class TestStackedScores:
-    @pytest.mark.parametrize("use_bias", [True, False])
-    def test_each_group_equals_scoring_it_alone(self, use_bias):
-        rng = np.random.default_rng(9)
-        model = model_of(rng.standard_normal(33 if use_bias else 32), dim=32,
-                         config=TrainConfig(use_bias=use_bias))
-        for m, k in ((1, 1), (7, 3), (40, 12), (300, 2)):
-            stack = rng.standard_normal((m, k, 32)) * 10.0 ** rng.uniform(-3, 3, (m, k, 1))
-            scores = sentence_scores(model, stack)
-            assert scores.shape == (m, k)
-            for group, row in zip(stack, scores):
-                assert np.array_equal(row, sentence_scores(model, group))
-
-    def test_shape_checks(self):
-        model = model_of(np.zeros(3), dim=2)
-        for bad in (np.zeros(2), np.zeros((0, 2)), np.zeros((2, 3)), np.zeros((2, 0, 2)),
-                    np.zeros((2, 3, 3)), np.zeros((1, 2, 3, 2))):
-            with pytest.raises(ValueError, match="a stack of them, with 2 columns"):
-                sentence_scores(model, bad)
-
-    def test_overflow_locates_group_and_row(self):
+    def test_overflow_locates_the_first_row(self):
         model = model_of([1.0, 1.0], dim=2, config=NO_BIAS)
-        stack = np.zeros((4, 3, 2))
-        stack[2, 1] = stack[3, 0] = 1e308
-        with pytest.raises(mil.ScoreError, match="^row 1: linear score inf is not finite$") as exc:
-            sentence_scores(model, stack)
-        assert exc.value.index == (2, 1)
+        X = np.zeros((4, 2))
+        X[2] = X[3] = 1e308
+        with pytest.raises(mil.ScoreError, match="^row 2: linear score inf is not finite$") \
+                as exc:
+            sentence_scores(model, X)
+        assert exc.value.index == (2,)
         with pytest.raises(mil.ScoreError) as exc:
-            sentence_scores(model, stack[3])
+            sentence_scores(model, X[3:])
         assert exc.value.index == (0,)
 
 
@@ -680,28 +685,24 @@ class TestPrediction:
 
 
 class TestGroupScores:
-    @pytest.mark.parametrize("gather_rows", [5, 24, 1024])
-    def test_equal_to_scoring_each_group_alone(self, monkeypatch, gather_rows):
-        # sizes 0 to 12, each size's groups split over several chunks when
-        # gather_rows is small
-        monkeypatch.setattr(embed, "GATHER_ROWS", gather_rows)
+    @pytest.mark.parametrize("dim", [5, 24, 1024])
+    def test_equal_to_scoring_each_group_alone(self, dim):
+        # groups of sizes 0 to 12 in shuffled order, scored in one call
         rng = np.random.default_rng(21)
         sizes = rng.permutation(np.repeat(np.arange(13), 7))
-        X = rng.standard_normal((int(sizes.sum()), 6)) * 3
-        model = model_of(rng.standard_normal(7), dim=6)
+        X = rng.standard_normal((int(sizes.sum()), dim)) * 3
+        model = model_of(rng.standard_normal(dim + 1), dim=dim)
         scores = group_scores(model, X, sizes)
         lo = 0
         for k in sizes.tolist():
             if k:
                 np.testing.assert_array_equal(scores[lo:lo + k],
-                                              sentence_scores(model, X[lo:lo + k]))
+                                              sentence_scores(model, X[lo:lo + k].copy()))
             lo += k
 
-    def test_overflow_names_the_first_group_in_order(self, monkeypatch):
-        # groups 0-11 of three rows span several chunks; group 7 overflows at
-        # row 1 and group 10 at row 2; group 13, of two rows, is scored in an
-        # earlier chunk and overflows at row 0
-        monkeypatch.setattr(embed, "GATHER_ROWS", 6)
+    def test_overflow_names_the_first_group_in_order(self):
+        # groups 0-11 of three rows and two groups of two; group 7 overflows
+        # at row 1, group 10 at row 2 and group 13 at row 0
         sizes = np.array([3] * 12 + [2, 2])
         starts = np.cumsum(sizes) - sizes
         X = np.random.default_rng(5).standard_normal((int(sizes.sum()), 4))
@@ -715,6 +716,10 @@ class TestGroupScores:
         with pytest.raises(mil.ScoreError) as exc:
             group_scores(model, X[starts[12]:], sizes[12:])
         assert exc.value.index == (1, 0)
+        # groups without rows count as groups but hold no row
+        with pytest.raises(mil.ScoreError, match="^row 0: ") as exc:
+            group_scores(model, X[starts[12]:], [0, 2, 0, 2])
+        assert exc.value.index == (3, 0)
 
     def test_groups_without_rows(self):
         model = model_of(np.zeros(3), dim=2)
