@@ -4,6 +4,8 @@ Three providers: precomputed sentence vectors looked up by key, word
 vectors averaged into sentence vectors, and a seeded hash fallback that
 needs no external model (for tests and offline runs). Averaging is
 order-insensitive, a documented difference from learned sentence encoders.
+A vector file is held as one n x d matrix, parsed line by line into one
+flat buffer: each key's vector is a row of it.
 
 `embed_matrix` is the one embedding path: one row per sentence of a corpus,
 in corpus order. Documents do not carry their vectors: `train` hands the
@@ -21,7 +23,8 @@ zero vector.
 
 from __future__ import annotations
 
-import hashlib
+import math
+from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Sequence
@@ -29,6 +32,7 @@ from typing import Sequence
 from milsent._lazy import lazy_import
 from milsent.corpus import DataError, Document, utf8_lines
 
+hashlib = lazy_import("hashlib")
 np = lazy_import("numpy")
 preprocess = lazy_import("milsent.preprocess")
 
@@ -66,7 +70,10 @@ class EmbeddingStore:
 
 
 def _parse_vector_file(path, first_field_name: str, sep: str | None):
-    vectors: dict[str, np.ndarray] = {}
+    """(key -> vector, dim): each line's components are parsed into one flat
+    buffer, and every vector is a row of the one n x dim matrix over it."""
+    rows: dict[str, int] = {}
+    flat = array("d")
     dim = None
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(utf8_lines(handle, path, EmbeddingError), start=1):
@@ -83,15 +90,17 @@ def _parse_vector_file(path, first_field_name: str, sep: str | None):
                 raise EmbeddingError(
                     f"{path}: line {line_no}: no vector components after {first_field_name}"
                 )
-            if key in vectors:
+            if key in rows:
                 raise EmbeddingError(
                     f"{path}: line {line_no}: duplicate {first_field_name} {key!r}"
                 )
             try:
-                vec = np.array([float(v) for v in values])
+                vec = array("d", map(float, values))
             except ValueError as exc:
                 raise EmbeddingError(f"{path}: line {line_no}: {exc}") from exc
-            if not np.all(np.isfinite(vec)):
+            # finite components can still sum to inf, so only a non-finite
+            # sum is checked item by item
+            if not math.isfinite(sum(vec)) and not all(map(math.isfinite, vec)):
                 raise EmbeddingError(f"{path}: line {line_no}: non-finite vector component")
             if dim is None:
                 dim = len(vec)
@@ -99,10 +108,11 @@ def _parse_vector_file(path, first_field_name: str, sep: str | None):
                 raise EmbeddingError(
                     f"{path}: line {line_no}: dimension {len(vec)} != {dim}"
                 )
-            vectors[key] = vec
+            rows[key] = len(rows)
+            flat += vec
     if dim is None:
         raise EmbeddingError(f"{path}: empty file, dimension undeterminable")
-    return vectors, dim
+    return dict(zip(rows, np.frombuffer(flat).reshape(-1, dim))), dim
 
 
 def load_embeddings(path) -> EmbeddingStore:

@@ -16,6 +16,9 @@ pairwise RBF kernel is streamed over blocks of rows and never held whole,
 so a loss or gradient needs O(n * KERNEL_BLOCK_ROWS) memory for n
 instances. The kernel is symmetric, so each unordered instance pair is
 evaluated once, about n^2 / 2 kernel entries, and the time stays O(n^2).
+A block's exponents -gamma ||x_i - x_j||^2 come out of one matrix product,
+[x_i, ||x_i||^2, 1] times gamma [2 x_j; -1; -||x_j||^2], clipped at 0 and
+exponentiated in place.
 One kernel sweep serves any number of score columns: training keeps the
 scores after every epoch and traces the exact full-data loss of all epochs
 in a single sweep at the end, not one sweep per epoch.
@@ -310,13 +313,21 @@ def _pairwise_terms(
     M[lo:hi], and the transpose of its strictly-right part times
     [1 | S'][lo:hi] into M[hi:]."""
     n, k = S.shape
+    dim = X.shape[1]
     sq = np.einsum("ij,ij->i", X, X)
-    minus_2xt = -2.0 * X.T  # exact: scaling by a power of two
+    # the exponent -gamma ||x_i - x_j||^2 of a block in one product:
+    # [x_i, ||x_i||^2, 1] times gamma [2 x_j; -1; -||x_j||^2]
+    right = np.empty((dim + 2, n))
+    np.multiply(X.T, 2.0 * gamma, out=right[:dim])
+    right[dim] = -gamma
+    np.multiply(sq, -gamma, out=right[dim + 1])
     ones_shifted = np.empty((n, k + 1))
     ones_shifted[:, 0] = 1.0
     shifted = ones_shifted[:, 1:]
     np.subtract(S, S[:1], out=shifted)
     M = np.zeros((n, k + 1))
+    left_buf = np.empty((min(n, KERNEL_BLOCK_ROWS), dim + 2))
+    left_buf[:, dim + 1] = 1.0
     # one reused flat buffer, each block a contiguous view of it: fresh
     # arrays per block would be page-faulted in again, and a strided slice of
     # a 2-d buffer is slower to sweep
@@ -324,13 +335,13 @@ def _pairwise_terms(
     for lo in range(0, n, KERNEL_BLOCK_ROWS):
         hi = min(lo + KERNEL_BLOCK_ROWS, n)
         rows, cols = hi - lo, n - lo
+        left = left_buf[:rows]
+        left[:, :dim] = X[lo:hi]
+        left[:, dim] = sq[lo:hi]
         block = block_buf[: rows * cols].reshape(rows, cols)
-        np.matmul(X[lo:hi], minus_2xt[:, lo:], out=block)
-        # squared distances ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j, clipped at 0
-        block += sq[None, lo:]
-        block += sq[lo:hi, None]
-        np.maximum(block, 0.0, out=block)
-        block *= -gamma
+        np.matmul(left, right[:, lo:], out=block)
+        # a distance that cancels below 0 is clipped to 0
+        np.minimum(block, 0.0, out=block)
         np.exp(block, out=block)
         M[lo:hi] += block @ ones_shifted[lo:]
         M[hi:] += block[:, rows:].T @ ones_shifted[lo:hi]
@@ -492,7 +503,11 @@ def median_heuristic_gamma(
     for lo in range(0, len(i), KERNEL_BLOCK_ROWS):
         hi = lo + KERNEL_BLOCK_ROWS
         d2[lo:hi] = np.sum((X[i[lo:hi]] - X[j[lo:hi]]) ** 2, axis=1)
-    med = float(np.median(d2))
+    # np.median's value without the numpy.ma that its first call imports:
+    # the mean of the middle entry, or of the middle two
+    half = len(d2) // 2
+    middle = [half] if len(d2) % 2 else [half - 1, half]
+    med = float(np.mean(np.partition(d2, middle)[middle]))
     return 1.0 / med if med > 0 else 1.0
 
 

@@ -1060,6 +1060,15 @@ class TestLayersOnFirstUse:
         ran = _executed_layers("render", predicted, "g000", "--format", "html")
         assert not ran & (self.NUMERIC | {"mil", "preprocess", "evaluate"})
 
+    def test_median_gamma_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.median's first call imports numpy.ma, about 1 MB and 10-15 ms
+        corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=10)
+        loaded = _probe("import sys\nfrom milsent.cli import main\n"
+                        "print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)",
+                        "train", corpus, vectors, tmp_path / "model.json", "--epochs", "1",
+                        "--embedding-format", "sentence", "--gamma", "median")
+        assert loaded == "0 False"
+
     def test_an_error_executes_no_layer_to_be_caught(self, tmp_path):
         """`main` catches the two error bases of `corpus`, so reporting an
         error executes no layer that the command did not run."""

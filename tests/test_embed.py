@@ -69,6 +69,32 @@ class TestLoadEmbeddings:
         assert store.dim == 2
         np.testing.assert_array_equal(store.vectors["d1:0"], [0.5, 0.5])
 
+    def test_vectors_are_rows_of_one_matrix(self, tmp_path):
+        path = tmp_path / "sent.tsv"
+        path.write_text("d1:0\t1 2\nd1:1\t3 4\n\nd2:0\t5 6\n")
+        vectors = list(load_sentence_embeddings(path).vectors.values())
+        start = vectors[0].__array_interface__["data"][0]
+        for row, vector in enumerate(vectors):
+            assert vector.flags.c_contiguous
+            assert vector.__array_interface__["data"][0] == start + row * 2 * vector.itemsize
+        np.testing.assert_array_equal(vectors, [[1, 2], [3, 4], [5, 6]])
+
+    def test_finite_components_summing_past_the_float_range_load(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("a 1 2\nbig 1e308 1e308\nsmall -1e308 -1e308\n")
+        store = load_embeddings(path)
+        np.testing.assert_array_equal(store.vectors["big"], [1e308, 1e308])
+        np.testing.assert_array_equal(store.vectors["small"], [-1e308, -1e308])
+
+    def test_errors_are_reported_in_line_order(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("a 1 2\nb 1 inf\na 3 4\n")
+        with pytest.raises(EmbeddingError, match=r"line 2: non-finite vector component"):
+            load_embeddings(path)
+        path.write_text("a 1 2\na 1 nan\n")
+        with pytest.raises(EmbeddingError, match=r"line 2: duplicate term 'a'"):
+            load_embeddings(path)
+
 
 VECTOR_FIELDS = st.sampled_from(
     ["a", "d1:0", "1", "-2.5", "0", "-0", "1e-400", "1_0", "0x10", "nan", "inf", "1e999",
@@ -400,3 +426,16 @@ class TestEmbedMatrixMemory:
         X, peak = _traced_peak(embed_matrix, docs, store)
         assert X.shape == (9, 32)
         assert peak < store_bytes / 100
+
+
+def test_loading_holds_the_vectors_once(tmp_path):
+    # 1 000 x 200 components, 1.6 MB as floats: a Python float per component
+    # would hold 4 x that, and a second copy of the matrix 2 x
+    n, d = 1000, 200
+    rows = np.random.default_rng(7).standard_normal((n, d)).tolist()
+    path = tmp_path / "vec.txt"
+    path.write_text("".join(f"w{i} " + " ".join(map(repr, row)) + "\n"
+                            for i, row in enumerate(rows)))
+    store, peak = _traced_peak(load_embeddings, path)
+    assert len(store) == n and store.dim == d
+    assert peak < 1.5 * n * d * 8

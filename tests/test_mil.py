@@ -112,6 +112,21 @@ class TestRbfSimilarity:
         x, y = np.zeros(2), np.array([2.0, 0.0])
         assert kernel_entry(x, y, 0.5) == pytest.approx(math.exp(-2.0))
 
+    def test_cancelled_distance_is_clipped_at_zero(self):
+        # at norm 1e4 the exponent 2 x.y - ||x||^2 - ||y||^2 of two rows 1e-9
+        # apart cancels to a few ulps of 1e8, of either sign: a positive one
+        # would give an entry above 1
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            x = rng.standard_normal(3)
+            x *= 1e4 / np.linalg.norm(x)
+            assert kernel_entry(x, x + rng.standard_normal(3) * 1e-9) <= 1.0
+
+    def test_identical_rows_of_large_norm(self):
+        # every product and partial sum of the exponent is an exact integer
+        x = np.array([6000.0, 8000.0, 0.0])
+        assert kernel_entry(x, x) == 1.0
+
 
 class TestScores:
     def test_zero_theta_scores_half(self):
@@ -367,6 +382,18 @@ class TestKernelBlocks:
         assert pairwise[1] == 0.0
         np.testing.assert_array_equal(C[:, 1], np.zeros(n))
 
+    def test_one_dimension_matches_naive_double_loop(self, n):
+        # a one-column X: the block's left operand is [x_i, x_i^2, 1]
+        rng = np.random.default_rng(n + 5)
+        batch = batch_of_size(rng, n, dim=1)
+        for lam, gamma in ((0.0, 0.05), (10.0, 0.5)):
+            theta = rng.standard_normal(2)
+            model = model_of(theta, dim=1)
+            slow = naive_mil_loss(theta, batch.groups, lam, gamma)
+            assert abs(loss(model, batch, lam, gamma) - slow) < 1e-12
+            slow = naive_mil_gradient(theta, batch.groups, lam, gamma)
+            assert relative_gradient_error(gradient(model, batch, lam, gamma), slow) < 1e-10
+
     def test_zero_theta_zero_lambda_is_exactly_zero(self, n):
         batch = batch_of_size(np.random.default_rng(n + 2), n)
         model = model_of(np.zeros(9), dim=8)
@@ -407,8 +434,9 @@ def test_groups_are_views_of_the_stacked_matrix(wide_dataset):
 
 @pytest.mark.parametrize("call", ["train", "loss"])
 def test_peak_memory_holds_no_copy_of_the_instances(wide_dataset, call):
-    # the kernel's -2 X^T is one transient copy of X; a second copy of the
-    # instance matrix would take the peak past 2 x X.nbytes
+    # the kernel's right operand gamma [2 X^T; -1; -||x||^2] is one transient
+    # copy of X; a second copy of the instance matrix would take the peak
+    # past 2 x X.nbytes
     model = model_of(np.random.default_rng(0).standard_normal(501) * 0.01, dim=500)
     tracemalloc.start()
     try:
