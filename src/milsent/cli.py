@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
-from itertools import compress, islice
+from itertools import compress, islice, product
 from pathlib import Path
 
 import milsent
@@ -122,6 +122,8 @@ _TRAIN_KEYS = {
     "kernel_gamma": "kernel_gamma",
     "use_bias": "use_bias",
 }
+# the training keys that `train --grid` varies, in the order of its cells
+_GRID_KEYS = ("lambda", "learning_rate", "momentum")
 
 
 def _config(args, base, keys: dict[str, str]):
@@ -143,21 +145,26 @@ def _train_config(args) -> mil.TrainConfig:
             gamma = float(gamma)
         except ValueError:
             raise UsageError(f"--gamma must be a number or 'median', got {gamma!r}")
-    flags = (
+    return _with_flags(config, (
         ("--lambda", "lam", args.lam),
         ("--learning-rate", "learning_rate", args.learning_rate),
         ("--momentum", "momentum", args.momentum),
         ("--epochs", "epochs", args.epochs),
         ("--gamma", "kernel_gamma", gamma),
         ("--seed", "seed", args.seed),
-    )
+    ))
+
+
+def _with_flags(base, flags):
+    """The dataclass `base` with each given flag's value set on its field;
+    a value its checks reject is a usage error that names the flag."""
     for flag, field, value in flags:
         if value is not None:
             try:
-                config = replace(config, **{field: value})
-            except ValueError as exc:
+                base = replace(base, **{field: value})
+            except (ValueError, DataError) as exc:
                 raise UsageError(f"{flag} {value}: {exc}") from exc
-    return config
+    return base
 
 
 # ---------------------------------------------------------------- preprocess
@@ -269,13 +276,14 @@ def cmd_label(args) -> int:
 
 
 def _build_store(args) -> embed.EmbeddingStore:
+    # --dim and --seed pass a hash store's checks whatever the source
+    hashed = _with_flags(embed.hash_fallback_store(),
+                         (("--dim", "dim", args.dim), ("--seed", "seed", args.seed)))
     source = args.embeddings
-    fmt = "hash" if source == "hash" else args.embedding_format
-    if fmt == "hash":
-        dim = args.dim if args.dim is not None else embed.DEFAULT_DIM
-        return embed.hash_fallback_store(dim=dim, seed=args.seed)
+    if source == "hash":
+        return hashed
     _require_file(source, "embedding file")
-    if fmt == "sentence":
+    if args.embedding_format == "sentence":
         store = embed.load_sentence_embeddings(source)
     else:
         store = embed.load_embeddings(source)
@@ -300,33 +308,38 @@ def _zero_vectors(zero: int, total: int) -> int:
     return zero
 
 
-def _parse_grid(text: str, base: mil.TrainConfig) -> mil.GridSpec:
-    # a grid entry is named by its config key
-    names = {key: _TRAIN_KEYS[key] for key in ("lambda", "learning_rate", "momentum")}
-    lists = {field: (getattr(base, field),) for field in names.values()}
+def _grid_configs(text: str, base: mil.TrainConfig) -> list[mil.TrainConfig]:
+    """`base` with every combination of the grid's values, the axes in
+    `_GRID_KEYS` order; an axis the grid leaves out keeps its `base` value."""
+    axes = {key: (getattr(base, _TRAIN_KEYS[key]),) for key in _GRID_KEYS}
     for part in text.split(";"):
         part = part.strip()
         if not part:
             continue
         key, sep, raw = part.partition("=")
         key = key.strip()
-        if not sep or key not in names:
-            raise UsageError(
-                f"bad grid entry {part!r}; expected lambda=...;learning_rate=...;momentum=..."
-            )
+        if not sep or key not in axes:
+            expected = ";".join(f"{name}=..." for name in _GRID_KEYS)
+            raise UsageError(f"bad grid entry {part!r}; expected {expected}")
         try:
-            lists[names[key]] = tuple(float(v) for v in raw.split(",") if v.strip())
-            for value in lists[names[key]]:
-                replace(base, **{names[key]: value})
+            axes[key] = tuple(float(v) for v in raw.split(",") if v.strip())
+            for value in axes[key]:
+                replace(base, **{_TRAIN_KEYS[key]: value})
         except ValueError as exc:
             raise UsageError(f"--grid: bad values in {part!r}: {exc}") from exc
-        if not lists[names[key]]:
+        if not axes[key]:
             raise UsageError(f"empty value list in grid entry {part!r}")
-    return mil.GridSpec(
-        lam_values=lists["lam"],
-        learning_rate_values=lists["learning_rate"],
-        momentum_values=lists["momentum"],
-    )
+    fields = [_TRAIN_KEYS[key] for key in _GRID_KEYS]
+    return [replace(base, **dict(zip(fields, cell))) for cell in product(*axes.values())]
+
+
+def _grid_cell(config: mil.TrainConfig) -> dict:
+    """A config's value of each grid key, by key."""
+    return {key: getattr(config, _TRAIN_KEYS[key]) for key in _GRID_KEYS}
+
+
+def _grid_line(config: mil.TrainConfig) -> str:
+    return " ".join(f"{key}={value}" for key, value in _grid_cell(config).items())
 
 
 def cmd_train(args) -> int:
@@ -346,24 +359,18 @@ def cmd_train(args) -> int:
 
     grid_cells = None
     if args.grid:
-        spec = _parse_grid(args.grid, config)
-        config, cells, result = mil.grid_search(dataset, spec, config)
-        grid_cells = [
-            {"lambda": c.lam, "learning_rate": c.learning_rate, "momentum": c.momentum,
-             "accuracy": c.accuracy, "error": c.error}
-            for c in cells
-        ]
+        configs = _grid_configs(args.grid, config)
+        outcomes, result = mil.grid_search(dataset, configs)
+        config = result.model.config
+        grid_cells = []
         _eprint("grid search (in-sample document accuracy):")
-        for cell in cells:
-            shown = "failed: " + cell.error if cell.accuracy is None else f"{cell.accuracy:.4f}"
-            _eprint(
-                f"  lambda={cell.lam} learning_rate={cell.learning_rate} "
-                f"momentum={cell.momentum}: {shown}"
-            )
-        _eprint(
-            f"selected: lambda={config.lam} learning_rate={config.learning_rate} "
-            f"momentum={config.momentum}"
-        )
+        for cell, outcome in zip(configs, outcomes):
+            failed = isinstance(outcome, str)
+            grid_cells.append({**_grid_cell(cell), "accuracy": None if failed else outcome,
+                               "error": outcome if failed else None})
+            shown = "failed: " + outcome if failed else f"{outcome:.4f}"
+            _eprint(f"  {_grid_line(cell)}: {shown}")
+        _eprint(f"selected: {_grid_line(config)}")
     else:
         result = mil.train(dataset, config)
     accuracy = mil.document_accuracy(result.model, dataset)
@@ -407,21 +414,15 @@ def _chunks(items, size: int):
     return iter(lambda: list(islice(items, size)), [])
 
 
-def _predicted(args, model: mil.MilModel, doc_summaries: dict, totals: dict):
-    """The documents of the input corpus with their sentence predictions,
+def _predicted(path, model: mil.MilModel, store: embed.EmbeddingStore, doc_summaries: dict,
+               totals: dict):
+    """The documents of the corpus at `path` with their sentence predictions,
     embedded and scored `PREDICT_CHUNK_DOCS` documents at a time; each
     sentence's vector and each document's scores do not depend on the
     chunk. A document without sentences passes through unchanged. Fills
     `doc_summaries` with each predicted document's vote and `totals` with
     the counts of documents, sentences and zero-vector sentences."""
-    store = None
-    for docs in _chunks(iter_corpus(args.corpus_in), PREDICT_CHUNK_DOCS):
-        if store is None:  # at the first document: an empty corpus needs no store
-            store = _build_store(args)
-            if store.dim != model.dim:
-                raise UsageError(
-                    f"embedding dimension {store.dim} conflicts with model dimension {model.dim}"
-                )
+    for docs in _chunks(iter_corpus(path), PREDICT_CHUNK_DOCS):
         X = embed.embed_matrix(docs, store)
         counts = np.fromiter((len(doc.sentences) for doc in docs), dtype=np.intp,
                              count=len(docs))
@@ -453,10 +454,15 @@ def cmd_predict(args) -> int:
     _require_file(args.model, "model file")
     _require_file(args.corpus_in, "input corpus")
     model = mil.load_model(args.model)
+    store = _build_store(args)
+    if store.dim != model.dim:
+        raise UsageError(
+            f"embedding dimension {store.dim} conflicts with model dimension {model.dim}")
 
     doc_summaries: dict[str, dict] = {}
     totals = dict.fromkeys(("documents", "sentences", "zero_vectors"), 0)
-    save_corpus(_predicted(args, model, doc_summaries, totals), args.corpus_out)
+    save_corpus(_predicted(args.corpus_in, model, store, doc_summaries, totals),
+                args.corpus_out)
     zero_vectors = _zero_vectors(totals["zero_vectors"], totals["sentences"])
     docs_path = Path(str(args.corpus_out) + ".docs.json")
     # one string, one write: json.dump would stream the indented text in

@@ -62,6 +62,8 @@ class EmbeddingStore:
     def __post_init__(self):
         if self.dim <= 0:
             raise EmbeddingError("embedding dimension must be positive")
+        if self.seed < 0:
+            raise EmbeddingError("seed must be a non-negative integer")
         if self.provider not in (PRECOMPUTED_SENTENCE, WORD_AVERAGE, HASH_FALLBACK):
             raise EmbeddingError(f"unknown provider {self.provider!r}")
 

@@ -32,14 +32,18 @@ rows scored with it. `sentence_scores` scores an instance matrix,
 majority. `document_accuracy`, which `grid_search` and the `train` command
 report, and the `predict` command all score through `group_scores` and
 vote through `group_votes`.
+
+`grid_search` trains a sequence of `TrainConfig`s and keeps the one of
+highest document accuracy, a tie going to the smallest config tuple. It
+names no training field: which fields a grid varies is for its caller to
+say, and `train --grid` varies `lam`, `learning_rate` and `momentum`.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass
 from typing import Sequence
 
 from milsent._lazy import lazy_import
@@ -87,20 +91,6 @@ class TrainConfig:
             raise ValueError("kernel_gamma must be finite and > 0")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    lam_values: tuple[float, ...]
-    learning_rate_values: tuple[float, ...]
-    momentum_values: tuple[float, ...]
-
-    def __post_init__(self):
-        for name in ("lam_values", "learning_rate_values", "momentum_values"):
-            values = tuple(getattr(self, name))
-            if not values:
-                raise ValueError(f"{name} must be non-empty")
-            object.__setattr__(self, name, values)
 
 
 @dataclass(frozen=True)
@@ -444,43 +434,32 @@ def document_accuracy(model: MilModel, dataset: MilDataset) -> float:
     return hits / dataset.n_groups
 
 
-@dataclass(frozen=True)
-class GridCell:
-    lam: float
-    learning_rate: float
-    momentum: float
-    accuracy: float | None
-    error: str | None = None
-
-
 def grid_search(
-    dataset: MilDataset, grid: GridSpec, base: TrainConfig | None = None
-) -> tuple[TrainConfig, list[GridCell], TrainResult]:
-    """Train every configuration in the grid; keep the one with the highest
-    in-sample document accuracy. Ties break toward smaller lam, then smaller
-    learning rate, then smaller momentum. Per-cell failures are recorded,
-    not raised. Returns the selected configuration, every cell, and the
-    selected cell's training result.
+    dataset: MilDataset, configs: Sequence[TrainConfig]
+) -> tuple[list[float | str], TrainResult]:
+    """Train every configuration; keep the one with the highest in-sample
+    document accuracy. A tie goes to the configuration whose
+    `dataclasses.astuple` compares smallest. A configuration that fails to
+    train is recorded, not raised, unless every one fails. Returns each
+    configuration's accuracy, or its error message, and the selected
+    configuration's training result.
     """
-    base = base or TrainConfig()
-    cells: list[GridCell] = []
+    if not configs:
+        raise ValueError("a grid needs at least one configuration")
+    outcomes: list[float | str] = []
     results: dict[int, TrainResult] = {}
-    for lam, lr, mom in itertools.product(
-        grid.lam_values, grid.learning_rate_values, grid.momentum_values
-    ):
-        config = replace(base, lam=lam, learning_rate=lr, momentum=mom)
+    for i, config in enumerate(configs):
         try:
             result = train(dataset, config)
-            accuracy = document_accuracy(result.model, dataset)
-            results[len(cells)] = result
-            cells.append(GridCell(lam, lr, mom, accuracy))
+            outcomes.append(document_accuracy(result.model, dataset))
+            results[i] = result
         except (TrainingError, ValueError) as exc:
-            cells.append(GridCell(lam, lr, mom, None, error=str(exc)))
+            outcomes.append(str(exc))
     if not results:
-        raise TrainingError("every grid configuration failed to train")
-    best = min(results, key=lambda i: (-cells[i].accuracy, cells[i].lam,
-                                       cells[i].learning_rate, cells[i].momentum))
-    return results[best].model.config, cells, results[best]
+        raise TrainingError(f"every grid configuration failed to train; the first: "
+                            f"{outcomes[0]}")
+    best = min(results, key=lambda i: (-outcomes[i], astuple(configs[i])))
+    return outcomes, results[best]
 
 
 def median_heuristic_gamma(

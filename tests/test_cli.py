@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -19,7 +20,8 @@ from milsent.corpus import (CorpusError, Document, SentenceInstance, Sentences, 
                             save_corpus)
 from milsent.embed import load_embeddings
 from milsent.eventstudy import EventLabelConfig
-from milsent.mil import MilModel, TrainConfig, generate_synthetic, load_model, save_model
+from milsent.mil import (MilModel, TrainConfig, TrainingError, generate_synthetic, load_model,
+                         save_model)
 from milsent.preprocess import PreprocessConfig
 from conftest import write_jsonl, write_price_csv
 from reference import (naive_document_pairs, naive_document_vote, naive_embed_matrix,
@@ -303,6 +305,44 @@ class TestTrain:
         assert rc == 0
         assert len(calls) == 4
         assert len(set(calls)) == 4
+
+    def test_tied_grid_selects_the_smallest_cell_in_the_given_order(self, tmp_path, capsys):
+        """With no epoch every cell ties: the smallest (lambda, learning_rate,
+        momentum) is selected, and stderr and the manifest list the cells
+        lambda-major, then learning_rate, then momentum, whatever the order
+        of the entries, each axis's values in the order given."""
+        corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=8)
+        model = tmp_path / "model.json"
+        assert main(["train", str(corpus), str(vectors), str(model),
+                     "--embedding-format", "sentence", "--epochs", "0",
+                     "--grid", "momentum=0.8,0;lambda=10,1;learning_rate=0.5,0.05"]) == 0
+        cells = list(itertools.product((10.0, 1.0), (0.5, 0.05), (0.8, 0.0)))
+        err = capsys.readouterr().err
+        listed = [line.split(":")[0] for line in err.splitlines() if line.startswith("  lambda=")]
+        assert listed == [f"  lambda={lam} learning_rate={lr} momentum={mom}"
+                          for lam, lr, mom in cells]
+        assert "\nselected: lambda=1.0 learning_rate=0.05 momentum=0.0\n" in err
+        grid = json.loads((tmp_path / "model.json.manifest.json").read_text())["metrics"]["grid"]
+        assert [(c["lambda"], c["learning_rate"], c["momentum"]) for c in grid] == cells
+        assert len({c["accuracy"] for c in grid}) == 1
+        assert {c["error"] for c in grid} == {None}
+        saved = json.loads(model.read_text())["config"]
+        assert (saved["lam"], saved["learning_rate"], saved["momentum"]) == (1.0, 0.05, 0.0)
+
+    def test_grid_whose_every_cell_fails_names_the_first_error(self, tmp_path, capsys,
+                                                              monkeypatch):
+        corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=5)
+
+        def failing(dataset, config=None):
+            raise TrainingError(f"no step at lambda {config.lam}")
+
+        monkeypatch.setattr(cli.mil, "train", failing)
+        model = tmp_path / "model.json"
+        assert main(["train", str(corpus), str(vectors), str(model),
+                     "--embedding-format", "sentence", "--grid", "lambda=2,1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: every grid configuration failed to train; the first: no step at lambda 2.0\n")
+        assert not model.exists()
 
     def test_conflicting_dim_is_usage_error(self, tmp_path, capsys):
         corpus, vectors, _ = synthetic_corpus_files(tmp_path)
@@ -624,15 +664,24 @@ class TestPredictChunks:
         assert err == "error: document blowup: row 1: linear score inf is not finite\n"
         assert [p.name for p in tmp_path.iterdir() if p.name.startswith((".out", "out"))] == []
 
-    def test_empty_corpus_needs_no_embedding_file(self, tmp_path, monkeypatch, capsys):
-        """The store is built at the first document: no document, no store."""
+    @pytest.mark.parametrize("embedding,message", [
+        (["no-such-vectors.txt"], "embedding file not found: "),
+        (["hash", "--dim", "99"], "embedding dimension 99 conflicts with model dimension 6"),
+    ], ids=["missing-file", "wrong-dim"])
+    def test_empty_corpus_still_checks_the_store(self, tmp_path, monkeypatch, capsys,
+                                                 embedding, message):
+        """The store is built and checked before the corpus is read: a store
+        that cannot score the model's documents exits 2 and writes nothing,
+        even for a corpus without documents."""
         model, _, _ = self._files(tmp_path, np.ones(6))
         empty, out = tmp_path / "empty.jsonl", tmp_path / "out.jsonl"
         empty.write_text("\n")
-        code, err = self._predict(monkeypatch, capsys, self.CHUNK, model, empty,
-                                  tmp_path / "no-such-vectors.txt", out)
-        assert code == 0 and err == "predicted 0 sentences in 0 documents\n"
-        assert out.read_text() == "" and Path(f"{out}.docs.json").read_text() == "{}\n"
+        if embedding[0] != "hash":
+            embedding = [tmp_path / embedding[0]]
+        code, err = self._predict(monkeypatch, capsys, self.CHUNK, model, empty, *embedding,
+                                  out)
+        assert code == 2 and err.startswith(f"error: {message}")
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith((".out", "out"))] == []
 
 
 def _memory_corpus(path, n_docs, seed=0):
@@ -1255,6 +1304,33 @@ class TestConfigKeys:
                      "--embedding-format", "sentence", flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}") and "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--dim", "0", "embedding dimension must be positive"),
+        ("--seed", "-1", "seed must be a non-negative integer"),
+    ], ids=["dim-0", "seed-negative"])
+    def test_out_of_range_store_flag_is_named(self, tmp_path, capsys, command, flag, value,
+                                              message):
+        """`--dim` and `--seed` set the `hash` store, so a value it rejects
+        exits 2 naming the flag, in `train` and in `predict` alike."""
+        corpus, _, _ = synthetic_corpus_files(tmp_path, n_groups=5)
+        model, out = tmp_path / "model.json", tmp_path / "out"
+        save_model(MilModel(theta=np.ones(5), dim=4, config=TrainConfig()), model)
+        dim = [] if flag == "--dim" else ["--dim", "4"]
+        argv = {"train": ["train", str(corpus), "hash", str(out), "--epochs", "1"],
+                "predict": ["predict", str(model), str(corpus), "hash", str(out)]}[command]
+        assert main(argv + dim + [flag, value]) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} {value}: {message}\n")
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith("out")]
+
+    def test_empty_grid_axis_is_named(self, tmp_path, capsys):
+        corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=5)
+        out = tmp_path / "m.json"
+        assert main(["train", str(corpus), str(vectors), str(out),
+                     "--embedding-format", "sentence", "--grid", "lambda="]) == 2
+        assert capsys.readouterr().err == "error: empty value list in grid entry 'lambda='\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("entry", ["lr=0.1", "lam=1,10", "LAMBDA=1,2"])

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from milsent import mil
 from milsent.corpus import CorpusError
 from milsent.mil import (
-    GridSpec,
     MilDataset,
     MilModel,
     ModelFormatError,
@@ -771,38 +770,36 @@ class TestGroupScores:
 class TestGridSearch:
     def test_singleton_grid_returns_that_config(self):
         dataset, _ = generate_synthetic(20, 3, 4, 3.0, 0.0, seed=2)
-        grid = GridSpec((10.0,), (0.05,), (0.8,))
-        best, cells, result = grid_search(dataset, grid, TrainConfig(epochs=2))
-        assert (best.lam, best.learning_rate, best.momentum) == (10.0, 0.05, 0.8)
-        assert len(cells) == 1
-        assert result.model.config == best
+        config = TrainConfig(lam=10.0, learning_rate=0.05, momentum=0.8, epochs=2)
+        outcomes, result = grid_search(dataset, [config])
+        assert outcomes == [document_accuracy(result.model, dataset)]
+        assert result.model.config == config
 
     def test_tie_broken_by_smaller_lambda(self):
         # epochs=0 makes every configuration identical to its initialization,
         # so all accuracies tie and the smallest lambda must win
         dataset, _ = generate_synthetic(20, 3, 4, 3.0, 0.0, seed=2)
-        grid = GridSpec((10.0, 1.0), (0.05,), (0.8,))
-        best, cells, _ = grid_search(dataset, grid, TrainConfig(epochs=0))
-        accuracies = {c.accuracy for c in cells}
-        assert len(accuracies) == 1
-        assert best.lam == 1.0
+        configs = [TrainConfig(lam=10.0, epochs=0), TrainConfig(lam=1.0, epochs=0)]
+        outcomes, result = grid_search(dataset, configs)
+        assert len(set(outcomes)) == 1
+        assert result.model.config == configs[1]
 
     def test_selects_highest_accuracy(self):
         dataset, _ = generate_synthetic(40, 5, 8, 3.0, 0.0, seed=3)
         # lam=0 cannot learn group structure; lam=10 can
-        grid = GridSpec((0.0, 10.0), (0.05,), (0.8,))
-        best, cells, result = grid_search(dataset, grid, TrainConfig(epochs=8))
-        by_lam = {c.lam: c.accuracy for c in cells}
-        assert by_lam[10.0] > by_lam[0.0]
-        assert best.lam == 10.0
+        configs = [TrainConfig(lam=0.0, epochs=8), TrainConfig(lam=10.0, epochs=8)]
+        outcomes, result = grid_search(dataset, configs)
+        assert outcomes[1] > outcomes[0]
+        assert result.model.config == configs[1]
         # the selected cell's own training run, bit-identical to a rerun
-        rerun = train(dataset, best)
+        rerun = train(dataset, configs[1])
         np.testing.assert_array_equal(result.model.theta, rerun.model.theta)
         assert result.loss_trace == rerun.loss_trace
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            GridSpec((), (0.05,), (0.8,))
+    def test_empty_grid_is_rejected(self):
+        dataset, _ = generate_synthetic(4, 2, 3, 3.0, 0.0, seed=2)
+        with pytest.raises(ValueError, match="at least one configuration"):
+            grid_search(dataset, [])
 
 
 class TestGenerateSynthetic:
