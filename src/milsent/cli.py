@@ -345,6 +345,7 @@ def _grid_line(config: mil.TrainConfig) -> str:
 def cmd_train(args) -> int:
     _require_file(args.corpus_in, "input corpus")
     config = _train_config(args)
+    configs = _grid_configs(args.grid, config) if args.grid else [config]
     docs = load_corpus(args.corpus_in)
     store = _build_store(args)
     X = embed.embed_matrix(docs, store)
@@ -354,14 +355,13 @@ def cmd_train(args) -> int:
         raise CorpusError(f"{args.corpus_in}: {exc}") from exc
     zero_vectors = _zero_vectors(_zero_rows(X), len(X))
     if args.gamma == "median":
-        config = replace(config, kernel_gamma=mil.median_heuristic_gamma(dataset, seed=args.seed))
-        _eprint(f"median-heuristic gamma: {config.kernel_gamma:.6g}")
+        gamma = mil.median_heuristic_gamma(dataset, seed=args.seed)
+        configs = [replace(cell, kernel_gamma=gamma) for cell in configs]
+        _eprint(f"median-heuristic gamma: {gamma:.6g}")
 
     grid_cells = None
     if args.grid:
-        configs = _grid_configs(args.grid, config)
         outcomes, result = mil.grid_search(dataset, configs)
-        config = result.model.config
         grid_cells = []
         _eprint("grid search (in-sample document accuracy):")
         for cell, outcome in zip(configs, outcomes):
@@ -370,9 +370,10 @@ def cmd_train(args) -> int:
                                "error": outcome if failed else None})
             shown = "failed: " + outcome if failed else f"{outcome:.4f}"
             _eprint(f"  {_grid_line(cell)}: {shown}")
-        _eprint(f"selected: {_grid_line(config)}")
+        _eprint(f"selected: {_grid_line(result.model.config)}")
     else:
-        result = mil.train(dataset, config)
+        result = mil.train(dataset, configs[0])
+    config = result.model.config
     accuracy = mil.document_accuracy(result.model, dataset)
     mil.save_model(result.model, args.model_out)
 

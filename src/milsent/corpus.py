@@ -8,11 +8,14 @@ to ``sentences``: ``sentence_tokens``, ``sentence_labels``,
 ``sentence_scores``.
 
 `iter_corpus` reads a corpus file one document at a time and checks every
-record (ids unique across the file included) before it yields it;
-`load_corpus` is the list of that stream. `predict` scores the stream in
-chunks of documents and `evaluate` keeps only the label columns it pairs,
-so their memory follows a chunk, not the corpus. `save_corpus` writes any
-iterable of documents.
+record (ids unique across the file included) before it yields it: the
+reader checks the JSON types and the label texts, and `Sentences` and
+`Document` check column lengths, finiteness and label-score agreement once,
+when they are built. A number is finite when `abs(value) < inf`, so any JSON
+integer is, even one too large for a float. `load_corpus` is the list of
+that stream. `predict` scores the stream in chunks of documents and
+`evaluate` keeps only the label columns it pairs, so their memory follows a
+chunk, not the corpus. `save_corpus` writes any iterable of documents.
 
 The module also holds the two error bases the command line catches:
 `UsageError` (exit code 2) and `DataError` (exit code 1). Each layer's
@@ -24,11 +27,10 @@ labels and scores, exactly the four sentence arrays of a corpus record. It
 checks the columns once, when it is built, and compares and hashes as its
 columns. Every stage of the package reads and writes the columns. For
 scripts that walk a document one sentence at a time, iterating
-`doc.sentences` yields `SentenceInstance` views, each one checked
-`SentenceInstance` construction, and `Document` takes any iterable of such
-views as its sentences. Sentence vectors are not part of a document:
-`embed.embed_matrix` returns them as one matrix, one row per sentence in
-corpus order.
+`doc.sentences` yields `SentenceInstance` views, each one checked as it is
+built, and `Document` takes any iterable of such views as its sentences.
+Sentence vectors are not part of a document: `embed.embed_matrix` returns
+them as one matrix, one row per sentence in corpus order.
 """
 
 from __future__ import annotations
@@ -213,7 +215,7 @@ class Document:
             object.__setattr__(self, "sentences", Sentences(*columns))
         if self.label is not None and self.label not in (POSITIVE, NEGATIVE):
             raise CorpusError(f"document {self.id}: label must be 0 or 1")
-        if self.abnormal_return is not None and not math.isfinite(self.abnormal_return):
+        if self.abnormal_return is not None and not _BELOW_INF(abs(self.abnormal_return)):
             raise CorpusError(
                 f"document {self.id}: abnormal return {self.abnormal_return} is not finite"
             )
@@ -224,11 +226,6 @@ class Document:
                     f"document {self.id}: label contradicts abnormal return "
                     f"{self.abnormal_return}"
                 )
-
-
-def _is_number(value) -> bool:
-    """A JSON number that is finite; booleans are not numbers here."""
-    return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
 _NULL = type(None)
@@ -242,25 +239,27 @@ def _misfit(key: str, what: str, items: list, fits) -> CorpusError:
     return CorpusError(f"{key} must be a list of {what}, got item {bad!r}")
 
 
-def _list_field(obj: dict, key: str, types: set, what: str, n: int) -> list:
-    """The list under `key`, or n nulls when it is absent, null or empty.
-    An item whose type is not in `types` is an error."""
+def _list_field(obj: dict, key: str, types: set, what: str) -> list | None:
+    """The list under `key`, or None when it is absent, null or empty, so
+    that `Sentences` supplies the column's default. An item whose type is
+    not in `types` is an error."""
     value = obj.get(key)
     if value is None:
-        return [None] * n
+        return None
     if not isinstance(value, list):
         raise CorpusError(f"{key} must be a list of {what}, got {value!r}")
     if not types.issuperset(map(type, value)):
         raise _misfit(key, what, value, lambda v: type(v) in types)
-    return value or [None] * n
+    return value or None
 
 
 def _parse_record(line: str) -> Document:
-    """The document of one corpus line. Errors say what is wrong;
-    `load_corpus` prefixes them with the file and the line."""
+    """The document of one corpus line; its JSON form is checked here, its
+    values by `Sentences` and `Document`. Errors say what is wrong;
+    `iter_corpus` prefixes them with the file and the line."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise CorpusError(f"malformed record: {exc}") from exc
     if not isinstance(obj, dict):
         raise CorpusError("record is not an object")
@@ -283,35 +282,27 @@ def _parse_record(line: str) -> Document:
     if label is not None and not (isinstance(label, str) and label in _TEXT_TO_LABEL):
         raise CorpusError(f"label must be 'pos' or 'neg', got {label!r}")
     abnormal = obj.get("abnormal_return")
-    if abnormal is not None and not _is_number(abnormal):
+    if abnormal is not None and type(abnormal) not in (int, float):
         raise CorpusError(f"abnormal_return must be a finite number, got {abnormal!r}")
 
-    texts = _list_field(obj, "sentences", {str}, "strings", 0)
-    n = len(texts)
+    texts = _list_field(obj, "sentences", {str}, "strings") or ()
     what = "string lists or nulls"
-    tokens = _list_field(obj, "sentence_tokens", {list, _NULL}, what, n)
+    tokens = _list_field(obj, "sentence_tokens", {list, _NULL}, what)
     try:
-        "".join(chain.from_iterable(filter(None, tokens)))  # a TypeError on a non-string
+        "".join(chain.from_iterable(filter(None, tokens or ())))  # a TypeError on a non-string
     except TypeError:
         raise _misfit("sentence_tokens", what, tokens,
                       lambda v: v is None or all(isinstance(t, str) for t in v)) from None
     what = "'pos', 'neg' or nulls"
-    labels = _list_field(obj, "sentence_labels", {str, _NULL}, what, n)
-    if not _LABEL_TEXTS.issuperset(labels):
+    labels = _list_field(obj, "sentence_labels", {str, _NULL}, what)
+    if not _LABEL_TEXTS.issuperset(labels or ()):
         raise _misfit("sentence_labels", what, labels, lambda v: v in _LABEL_TEXTS)
-    what = "finite numbers or nulls"
-    scores = _list_field(obj, "sentence_scores", {int, float, _NULL}, what, n)
-    if not all(map(math.isfinite, [v for v in scores if type(v) is float])):
-        raise _misfit("sentence_scores", what, scores,
-                      lambda v: type(v) is not float or math.isfinite(v))
-    if not (n == len(tokens) == len(labels) == len(scores)):
-        raise CorpusError("sentence arrays have mismatched lengths")
 
     sentences = Sentences(
         texts,
-        [tuple(toks) if toks else () for toks in tokens],
-        map(_TEXT_TO_LABEL.get, labels),
-        scores,
+        tokens and [tuple(toks) if toks else () for toks in tokens],
+        labels and map(_TEXT_TO_LABEL.get, labels),
+        _list_field(obj, "sentence_scores", {int, float, _NULL}, "finite numbers or nulls"),
     )
     return Document(
         id=obj["id"],

@@ -547,7 +547,7 @@ def load_model(path) -> MilModel:
     try:
         with open(path, encoding="utf-8") as handle:
             record = json.load(handle)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a JSON or UTF-8 error is a ValueError
         raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
     if not isinstance(record, dict) or record.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path}: not a {MODEL_FORMAT} file")
@@ -560,5 +560,5 @@ def load_model(path) -> MilModel:
             dim=int(record["dim"]),
             config=config,
         )
-    except (KeyError, TypeError, ValueError, TrainingError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, TrainingError) as exc:
         raise ModelFormatError(f"{path}: malformed model record: {exc}") from exc

@@ -567,18 +567,29 @@ class TestPredict:
                    "--embedding-format", "sentence"])
         assert rc == 2
 
-    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
-    def test_non_finite_theta_is_a_malformed_model(self, tmp_path, capsys, bad):
+    @pytest.mark.parametrize("field,bad,message", [
+        ("theta", "[NaN", "theta contains non-finite values"),
+        ("theta", "[Infinity", "theta contains non-finite values"),
+        ("theta", "[-Infinity", "theta contains non-finite values"),
+        # numbers that overflow a float or an int when converted
+        ("theta", "[1" + "0" * 400, "int too large to convert to float"),
+        ("dim", "1e400", "cannot convert float infinity to integer"),
+    ], ids=["NaN", "Infinity", "-Infinity", "theta-400-digits", "dim-1e400"])
+    def test_non_finite_theta_is_a_malformed_model(self, tmp_path, capsys, field, bad,
+                                                   message):
         corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=5, dim=2)
         model_path = tmp_path / "model.json"
         save_model(MilModel(theta=np.ones(3), dim=2, config=TrainConfig()), model_path)
-        model_path.write_text(model_path.read_text().replace('"theta":[1.0,', f'"theta":[{bad},'))
+        good = {"theta": '"theta":[1.0,', "dim": '"dim":2,'}[field]
+        text = model_path.read_text()
+        assert good in text
+        model_path.write_text(text.replace(good, f'"{field}":{bad},'))
         out = tmp_path / "out.jsonl"
         rc = main(["predict", str(model_path), str(corpus), str(vectors), str(out),
                    "--embedding-format", "sentence"])
         assert rc == 2
         assert capsys.readouterr().err == (f"error: {model_path}: malformed model record: "
-                                           "theta contains non-finite values\n")
+                                           f"{message}\n")
         assert not out.exists()
 
     def test_dim_mismatch_is_usage_error(self, tmp_path, capsys):
@@ -1332,6 +1343,16 @@ class TestConfigKeys:
                      "--embedding-format", "sentence", "--grid", "lambda="]) == 2
         assert capsys.readouterr().err == "error: empty value list in grid entry 'lambda='\n"
         assert not out.exists()
+
+    def test_grid_is_checked_before_any_input_is_read(self, tmp_path, capsys):
+        # like a config key, a bad grid entry fails before the corpus is read
+        corpus, _, _ = synthetic_corpus_files(tmp_path, n_groups=5)
+        corpus.write_text("{bad json\n" + corpus.read_text())
+        before = sorted(tmp_path.iterdir())
+        out = tmp_path / "m.json"
+        assert main(["train", str(corpus), "hash", str(out), "--grid", "lam=1"]) == 2
+        assert capsys.readouterr().err.startswith("error: bad grid entry 'lam=1'")
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("entry", ["lr=0.1", "lam=1,10", "LAMBDA=1,2"])
     def test_grid_entry_is_a_training_key(self, tmp_path, capsys, entry):

@@ -135,6 +135,20 @@ class TestRoundTrip:
                 assert s1.predicted_label == s2.predicted_label
                 assert s1.score == s2.score
 
+    def test_integer_beyond_float_range_loads_and_round_trips(self, tmp_path):
+        # any JSON integer is finite: `abs(v) < inf` holds where math.isfinite
+        # raises OverflowError
+        huge = 10**400
+        path, first, second = (tmp_path / name for name in ("c.jsonl", "a.jsonl", "b.jsonl"))
+        write_jsonl(path, [{**VALID_RECORD, "abnormal_return": huge,
+                            "sentence_scores": [huge, 0.25, None]}])
+        (doc,) = load_corpus(path)
+        assert doc.abnormal_return == huge and doc.sentences.scores[0] == huge
+        save_corpus([doc], first)
+        save_corpus(load_corpus(first), second)
+        assert first.read_bytes() == second.read_bytes()
+        assert f'"abnormal_return": {huge}' in first.read_text()
+
     def test_save_load_save_is_stable(self, tmp_path):
         docs = [make_doc("d1", "AAA", date(2005, 5, 12), "text", label=1,
                          abnormal_return=0.0123456789)]
@@ -354,6 +368,7 @@ JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 2), st.integers(),
     st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
     st.sampled_from(["pos", "neg", "\ud800", "2005-02-30", "05/12/2005"]),
+    st.just(10**400),  # an int no float can hold
     st.lists(st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=2)),
              max_size=3),
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
@@ -388,7 +403,8 @@ def _mutated(mutations) -> dict:
 
 
 def _finite_number(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)
+    # as the reader tests it: math.isfinite raises on an int too large for a float
+    return type(value) in (int, float) and abs(value) < math.inf
 
 
 def _assert_valid(doc: Document) -> None:
@@ -433,6 +449,29 @@ class TestReaderFuzz:
             assert first.read_bytes() == second.read_bytes()
             assert [corpus._record_of(d) for d in again] == [corpus._record_of(d) for d in docs]
             assert [len(d.sentences) for d in again] == [len(d.sentences) for d in docs]
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"sentence_scores": [math.nan, 0.25, None]}, "score nan is not finite"),
+        ({"sentence_labels": ["pos", "neg"]}, "sentence columns have mismatched lengths"),
+        ({"abnormal_return": -math.inf}, "document d1: abnormal return -inf is not finite"),
+    ], ids=["nan-score", "mismatched-columns", "infinite-return"])
+    def test_value_errors_name_the_line(self, tmp_path, fields, message):
+        """The checks that `Sentences` and `Document` make, reported with the
+        file and the line like the reader's own."""
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{**VALID_RECORD, "id": "d0"}, {**VALID_RECORD, **fields}])
+        with pytest.raises(CorpusError) as caught:
+            load_corpus(path)
+        assert str(caught.value) == f"{path}: line 2: {message}"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no int digit limit")
+    def test_integer_too_long_to_read_is_a_line_error(self, tmp_path):
+        # json.loads raises a plain ValueError past Python's int digit limit
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(VALID_RECORD).replace("0.01", "1" * 5000) + "\n")
+        with pytest.raises(CorpusError, match=r"line 1: malformed record: .*digits"):
+            load_corpus(path)
 
     def test_lone_surrogate_is_a_line_error(self, tmp_path):
         path = tmp_path / "c.jsonl"

@@ -859,6 +859,11 @@ class TestModelFile:
         path.write_text('{"format": "milsent-model", "version": 99}')
         with pytest.raises(ModelFormatError, match="version"):
             load_model(path)
+        # past Python's int digit limit json raises a plain ValueError; without
+        # that limit the number overflows a float
+        path.write_text('{"theta": [' + "1" * 5000 + "]}")
+        with pytest.raises(ModelFormatError):
+            load_model(path)
 
     def test_save_is_byte_deterministic(self, tmp_path):
         dataset, _ = generate_synthetic(10, 3, 4, 2.0, 0.0, seed=6)
