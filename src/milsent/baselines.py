@@ -86,7 +86,6 @@ class BowModel:
     vocabulary_index: dict[str, int]
     weights: np.ndarray
     intercept: float
-    l2_strength: float
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
@@ -254,7 +253,6 @@ def train_bow_logreg(
         vocabulary_index=dict(vocabulary_index),
         weights=x[:-1],
         intercept=float(x[-1]),
-        l2_strength=l2_strength,
     )
 
 

@@ -67,9 +67,6 @@ class EmbeddingStore:
         if self.provider not in (PRECOMPUTED_SENTENCE, WORD_AVERAGE, HASH_FALLBACK):
             raise EmbeddingError(f"unknown provider {self.provider!r}")
 
-    def __len__(self) -> int:
-        return len(self.vectors)
-
 
 def _parse_vector_file(path, first_field_name: str, sep: str | None):
     """(key -> vector, dim): each line's components are parsed into one flat

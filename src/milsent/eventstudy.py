@@ -1,10 +1,11 @@
 """Abnormal returns via the market model, and price-based document labeling.
 
 A stock's normal return on the event day is alpha + beta * market return,
-with (alpha, beta) fitted by OLS over a window of trading days immediately
-before the event. The abnormal return is the actual return minus that
-expectation; its sign labels the document. Penny stocks, return outliers,
-and documents with irrecoverable market data are dropped, with reasons.
+with (alpha, beta) fitted by OLS over a window of at least two trading days
+immediately before the event; the window is checked before any fit. The
+abnormal return is the actual return minus that expectation; its sign
+labels the document. Penny stocks, return outliers, and documents with
+irrecoverable market data are dropped, with reasons.
 
 Labelling aligns each ticker's returns with the index returns once per
 call, one ticker at a time, and finds each document's event day in that
@@ -52,11 +53,6 @@ class PriceSeries:
 class MarketModel:
     alpha: float
     beta: float
-    window: int = 30
-
-    def __post_init__(self):
-        if self.window < 2:
-            raise EventStudyError("market-model window must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -130,7 +126,7 @@ def _fit(s: np.ndarray, m: np.ndarray, window: int, event_date: date) -> MarketM
         raise EventStudyError("zero-variance market returns: singular fit")
     beta = float(np.cov(m, s, bias=True)[0, 1]) / var
     alpha = float(np.mean(s)) - beta * float(np.mean(m))
-    return MarketModel(alpha=alpha, beta=beta, window=window)
+    return MarketModel(alpha=alpha, beta=beta)
 
 
 def fit_market_model(
@@ -141,9 +137,12 @@ def fit_market_model(
 ) -> MarketModel:
     """OLS of stock on market return over `window` days before event_date.
 
-    Requires exactly `window` paired observations strictly before the event;
-    fewer is an error rather than a silently shorter fit.
+    `window` must be at least 2, and exactly `window` paired observations
+    strictly before the event are required; fewer is an error rather than a
+    silently shorter fit.
     """
+    if window < 2:
+        raise EventStudyError("market-model window must be >= 2")
     market = dict(market_returns)
     paired = [(r, market[d]) for d, r in stock_returns if d in market and d < event_date]
     s = np.array([r for r, _ in paired])

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Sequence
 
 from milsent._lazy import lazy_import
@@ -543,6 +543,13 @@ def save_model(model: MilModel, path) -> None:
         handle.write("\n")
 
 
+def _check_json_type(name: str, value, expected: type) -> None:
+    """A JSON value has the expected type: a bool is not a number, and an
+    int is a float but a float is not an int."""
+    if not (type(value) is expected or (expected is float and type(value) is int)):
+        raise TypeError(f"{name} must be a JSON {expected.__name__}, got {value!r}")
+
+
 def load_model(path) -> MilModel:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -554,11 +561,15 @@ def load_model(path) -> MilModel:
     if record.get("version") != MODEL_VERSION:
         raise ModelFormatError(f"{path}: unsupported version {record.get('version')!r}")
     try:
-        config = TrainConfig(**record["config"])
-        return MilModel(
-            theta=np.array(record["theta"], dtype=float),
-            dim=int(record["dim"]),
-            config=config,
-        )
+        values = record["config"]
+        for field in fields(TrainConfig):
+            if field.name in values:
+                _check_json_type(f"config {field.name}", values[field.name],
+                                 type(field.default))
+        config = TrainConfig(**values)
+        theta = np.array(record["theta"], dtype=float)
+        dim = int(record["dim"])  # first, so that an infinite dim reports its overflow
+        _check_json_type("dim", record["dim"], int)
+        return MilModel(theta=theta, dim=dim, config=config)
     except (KeyError, TypeError, ValueError, OverflowError, TrainingError) as exc:
         raise ModelFormatError(f"{path}: malformed model record: {exc}") from exc

@@ -2,9 +2,11 @@
 
 Cleaning truncates boilerplate (contact blocks, HTML), lowercases, and
 replaces dates, URLs, and signed numbers with placeholder tokens so that
-surface variation in numerals does not fragment the vocabulary. Rare terms
-are collapsed to ``<unk>``. Documents that are too short, or whose sentence
-count sits in the extreme tails of the corpus distribution, are dropped.
+surface variation in numerals does not fragment the vocabulary. The
+vocabulary is a set of terms: those seen at least ``min_count`` times, and
+the special tokens. Terms outside it are collapsed to ``<unk>``. Documents
+that are too short, or whose sentence count sits in the extreme tails of
+the corpus distribution, are dropped.
 """
 
 from __future__ import annotations
@@ -80,20 +82,6 @@ class PreprocessConfig:
             _compile(pattern)
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    """Retained term -> count mapping; terms below min_count are dropped."""
-
-    counts: dict[str, int]
-    min_count: int
-
-    def __contains__(self, term: str) -> bool:
-        return term in self.counts
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-
 def _compile(pattern: str, flags: int = 0) -> re.Pattern:
     # a huge repeat count overflows, and deep nesting recurses, inside `re`
     try:
@@ -155,20 +143,18 @@ def tokenize(sentence: str) -> list[str]:
     return _TOKEN.findall(sentence.lower())
 
 
-def build_vocabulary(corpus: Iterable[Sequence[str]], min_count: int) -> Vocabulary:
-    """Count terms over all token sequences and drop those below min_count."""
+def build_vocabulary(corpus: Iterable[Sequence[str]], min_count: int) -> frozenset[str]:
+    """The terms seen at least min_count times over all token sequences,
+    and the special tokens."""
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
     counts: Counter[str] = Counter()
     for tokens in corpus:
         counts.update(tokens)
-    retained = {t: c for t, c in counts.items() if c >= min_count}
-    for token in SPECIAL_TOKENS:
-        retained.setdefault(token, counts.get(token, 0))
-    return Vocabulary(counts=retained, min_count=min_count)
+    return frozenset(t for t, c in counts.items() if c >= min_count).union(SPECIAL_TOKENS)
 
 
-def apply_vocabulary(tokens: Sequence[str], vocab: Vocabulary) -> list[str]:
+def apply_vocabulary(tokens: Sequence[str], vocab: frozenset[str]) -> list[str]:
     """Replace out-of-vocabulary tokens with <unk>; length is preserved."""
     return [t if t in vocab else UNK for t in tokens]
 

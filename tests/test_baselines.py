@@ -262,7 +262,6 @@ class TestBowPredict:
             vocabulary_index={"profit": 0, "loss": 1},
             weights=np.array(w, dtype=float),
             intercept=b,
-            l2_strength=0.0,
         )
 
     def test_zero_features_label_by_intercept(self):

@@ -574,16 +574,21 @@ class TestPredict:
         # numbers that overflow a float or an int when converted
         ("theta", "[1" + "0" * 400, "int too large to convert to float"),
         ("dim", "1e400", "cannot convert float infinity to integer"),
-    ], ids=["NaN", "Infinity", "-Infinity", "theta-400-digits", "dim-1e400"])
+        # JSON values of the wrong type
+        ("dim", "2.7", "dim must be a JSON int, got 2.7"),
+        ("dim", '"2"', "dim must be a JSON int, got '2'"),
+        ("use_bias", '"false"', "config use_bias must be a JSON bool, got 'false'"),
+    ], ids=["NaN", "Infinity", "-Infinity", "theta-400-digits", "dim-1e400", "dim-float",
+            "dim-string", "use-bias-string"])
     def test_non_finite_theta_is_a_malformed_model(self, tmp_path, capsys, field, bad,
                                                    message):
         corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=5, dim=2)
         model_path = tmp_path / "model.json"
         save_model(MilModel(theta=np.ones(3), dim=2, config=TrainConfig()), model_path)
-        good = {"theta": '"theta":[1.0,', "dim": '"dim":2,'}[field]
+        good = {"theta": '"theta":[1.0', "dim": '"dim":2', "use_bias": '"use_bias":true'}[field]
         text = model_path.read_text()
-        assert good in text
-        model_path.write_text(text.replace(good, f'"{field}":{bad},'))
+        assert text.count(good) == 1
+        model_path.write_text(text.replace(good, f'"{field}":{bad}'))
         out = tmp_path / "out.jsonl"
         rc = main(["predict", str(model_path), str(corpus), str(vectors), str(out),
                    "--embedding-format", "sentence"])

@@ -1,4 +1,6 @@
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,8 @@ from milsent import cli, config
 from milsent.eventstudy import EventLabelConfig
 from milsent.mil import TrainConfig
 from milsent.preprocess import PreprocessConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 KNOWN = {**cli._PREPROCESS_KEYS, **cli._EVENT_KEYS, **cli._TRAIN_KEYS}
 
@@ -53,3 +57,22 @@ def test_apply_gives_checked_config_or_config_error(tmp_path_factory, base, keys
             assert getattr(result, field) == raws[-1]
         elif not raws:
             assert getattr(result, field) == getattr(base, field)
+
+
+def _readme_paragraph(heading: str) -> str:
+    """The README paragraph that opens with `**heading**`, on one line."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index(f"**{heading}**")
+    return " ".join(text[start:text.index("\n\n", start)].split())
+
+
+def test_readme_names_every_config_key():
+    # the key list runs from the colon after the heading's parenthesis to
+    # the first full stop
+    keys = _readme_paragraph("Config file").split("):", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`(\w+)`", keys) == list(KNOWN)
+
+
+def test_readme_names_every_model_config_field():
+    names = re.search(r"`config` \(([^)]*)\)", _readme_paragraph("Model file")).group(1)
+    assert re.findall(r"`(\w+)`", names) == [f.name for f in fields(TrainConfig)]

@@ -27,7 +27,7 @@ class TestLoadEmbeddings:
         path = tmp_path / "vec.txt"
         path.write_text("profit 1 0 0\nloss 0 1 0\n")
         store = load_embeddings(path)
-        assert len(store) == 2
+        assert len(store.vectors) == 2
         assert store.dim == 3
         np.testing.assert_array_equal(store.vectors["loss"], [0.0, 1.0, 0.0])
 
@@ -120,7 +120,7 @@ class TestReaderFuzz:
         except EmbeddingError as exc:
             assert re.match(re.escape(f"{path}: ") + r"(line \d+: .|empty file)", str(exc)), exc
             return
-        assert store.dim > 0 and len(store) > 0
+        assert store.dim > 0 and len(store.vectors) > 0
         for vector in store.vectors.values():
             assert vector.shape == (store.dim,) and np.all(np.isfinite(vector))
 
@@ -437,5 +437,5 @@ def test_loading_holds_the_vectors_once(tmp_path):
     path.write_text("".join(f"w{i} " + " ".join(map(repr, row)) + "\n"
                             for i, row in enumerate(rows)))
     store, peak = _traced_peak(load_embeddings, path)
-    assert len(store) == n and store.dim == d
+    assert len(store.vectors) == n and store.dim == d
     assert peak < 1.5 * n * d * 8

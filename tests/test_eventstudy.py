@@ -154,8 +154,13 @@ class TestFitMarketModel:
             fit_market_model(rets, rets, event_date=days[-1], window=30)
 
     def test_window_validation(self):
-        with pytest.raises(EventStudyError):
-            MarketModel(alpha=0.0, beta=1.0, window=1)
+        # checked before the fit: a window of 0 would otherwise fit the whole
+        # history, and one of 1 a single return of zero variance
+        days = [date(2005, 1, 3) + timedelta(days=i) for i in range(10)]
+        rets = [(d, 0.01 * (i % 3 - 1)) for i, d in enumerate(days)]
+        for window in (0, 1):
+            with pytest.raises(EventStudyError, match="window must be >= 2"):
+                fit_market_model(rets, rets, event_date=days[-1], window=window)
 
 
 class TestAbnormalReturn:

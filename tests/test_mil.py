@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -864,6 +865,31 @@ class TestModelFile:
         path.write_text('{"theta": [' + "1" * 5000 + "]}")
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("dim", 2.7, "dim must be a JSON int, got 2.7"),
+        ("dim", "2", "dim must be a JSON int, got '2'"),
+        ("dim", True, "dim must be a JSON int, got True"),
+        ("use_bias", "false", "config use_bias must be a JSON bool, got 'false'"),
+        ("epochs", 25.0, "config epochs must be a JSON int, got 25.0"),
+        ("lam", True, "config lam must be a JSON float, got True"),
+    ], ids=["dim-float", "dim-string", "dim-bool", "use-bias-string", "epochs-float",
+            "lam-bool"])
+    def test_wrong_json_type_rejected(self, tmp_path, key, value, message):
+        path = tmp_path / "model.json"
+        save_model(MilModel(theta=np.ones(3), dim=2, config=TrainConfig()), path)
+        record = json.loads(path.read_text())
+        (record if key == "dim" else record["config"])[key] = value
+        path.write_text(json.dumps(record))
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: malformed model record: {message}"
+
+    def test_float_field_takes_json_int(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(MilModel(theta=np.ones(3), dim=2, config=TrainConfig(lam=3)), path)
+        assert '"lam":3,' in path.read_text()
+        assert load_model(path).config.lam == 3
 
     def test_save_is_byte_deterministic(self, tmp_path):
         dataset, _ = generate_synthetic(10, 3, 4, 2.0, 0.0, seed=6)

@@ -10,7 +10,6 @@ from milsent.preprocess import (
     SPECIAL_TOKENS,
     UNK,
     URL,
-    Vocabulary,
     apply_vocabulary,
     build_vocabulary,
     clean_text,
@@ -123,26 +122,26 @@ class TestVocabulary:
 
     def test_empty_corpus_keeps_special_tokens(self):
         vocab = build_vocabulary([], min_count=5)
-        assert set(vocab.counts) == set(SPECIAL_TOKENS)
+        assert set(vocab) == set(SPECIAL_TOKENS)
 
     def test_min_count_validation(self):
         with pytest.raises(ValueError):
             build_vocabulary([], min_count=0)
 
     def test_apply_replaces_oov(self):
-        vocab = Vocabulary(counts={"profit": 9}, min_count=5)
+        vocab = frozenset({"profit"})
         assert apply_vocabulary(["rare", "profit"], vocab) == [UNK, "profit"]
 
     def test_apply_identity_when_all_known(self):
-        vocab = Vocabulary(counts={"a": 5, "b": 5}, min_count=5)
+        vocab = frozenset({"a", "b"})
         assert apply_vocabulary(["a", "b"], vocab) == ["a", "b"]
 
     def test_apply_empty(self):
-        assert apply_vocabulary([], Vocabulary(counts={}, min_count=5)) == []
+        assert apply_vocabulary([], frozenset()) == []
 
     @given(st.lists(st.sampled_from(["profit", "loss", "rare", "q1"]), max_size=40))
     def test_apply_preserves_length(self, tokens):
-        vocab = Vocabulary(counts={"profit": 10, "loss": 7}, min_count=5)
+        vocab = frozenset({"profit", "loss"})
         assert len(apply_vocabulary(tokens, vocab)) == len(tokens)
 
 
