@@ -252,10 +252,9 @@ def cmd_label(args) -> int:
         )
     else:
         _eprint("warning: no documents could be labeled")
-    for reason, count in sorted(result.drop_counts().items()):
+    drop_counts = result.drop_counts()
+    for reason, count in sorted(drop_counts.items()):
         _eprint(f"dropped ({reason}): {count}")
-    for doc_id, reason in result.dropped:
-        _eprint(f"  - {doc_id}: {reason}")
 
     _write_manifest(
         args, args.corpus_out,
@@ -267,6 +266,8 @@ def cmd_label(args) -> int:
             "labeled_positive": n_pos,
             "labeled_negative": n_neg,
             "dropped": len(result.dropped),
+            "dropped_by_reason": drop_counts,
+            "dropped_documents": result.dropped,
         },
     )
     return EXIT_OK
@@ -428,13 +429,12 @@ def _predicted(path, model: mil.MilModel, store: embed.EmbeddingStore, doc_summa
         counts = np.fromiter((len(doc.sentences) for doc in docs), dtype=np.intp,
                              count=len(docs))
         try:
-            all_scores = mil.group_scores(model, X, counts)
+            votes = mil.group_votes(model, X, counts)
         except mil.ScoreError as exc:
             raise ValueError(f"document {docs[exc.index[0]].id}: {exc}") from exc
         totals["documents"] += len(docs)
         totals["sentences"] += len(X)
         totals["zero_vectors"] += _zero_rows(X)
-        votes = mil.group_votes(all_scores, counts)
         out_docs = []
         for doc, (labels, scores, (doc_label, n_pos, n_neg)) in zip(docs, votes):
             if not labels:
@@ -448,7 +448,7 @@ def _predicted(path, model: mil.MilModel, store: embed.EmbeddingStore, doc_summa
             out_docs.append(with_predictions(doc, labels, scores))
         yield from out_docs
         # let this chunk go before the next one is read: one chunk at a time
-        del docs, doc, X, all_scores, votes, out_docs
+        del docs, doc, X, votes, out_docs
 
 
 def cmd_predict(args) -> int:

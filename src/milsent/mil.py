@@ -27,11 +27,15 @@ Every sentence score, in training and in prediction, comes from one
 product, `_linear_scores`, which reduces each row of a C-ordered matrix on
 its own: a sentence's score depends only on its own vector, not on the
 rows scored with it. `sentence_scores` scores an instance matrix,
-`group_scores` scores consecutive groups of any sizes in one such call,
 `sentence_labels` applies the 0.5 rule and `document_vote` takes the
-majority. `document_accuracy`, which `grid_search` and the `train` command
-report, and the `predict` command all score through `group_scores` and
-vote through `group_votes`.
+majority. `group_votes` scores consecutive groups of any sizes in one
+`sentence_scores` call and votes each group: `document_accuracy`, which
+`grid_search` and the `train` command report, and the `predict` command
+all score and vote through it.
+
+`TrainConfig` and `MilModel` check the JSON type of each of their values
+where they are built, so every model `save_model` writes, `load_model`
+reads back.
 
 `grid_search` trains a sequence of `TrainConfig`s and keeps the one of
 highest document accuracy, a tie going to the smallest config tuple. It
@@ -67,6 +71,13 @@ class ModelFormatError(UsageError):
     """A model file is corrupted or has an unknown format/version."""
 
 
+def _check_json_type(name: str, value, expected: type) -> None:
+    """A value has the JSON type of `expected`: a bool is not a number, and
+    an int is a float but a float is not an int."""
+    if not (type(value) is expected or (expected is float and type(value) is int)):
+        raise TypeError(f"{name} must be a JSON {expected.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     lam: float = 10.0
@@ -79,6 +90,9 @@ class TrainConfig:
     use_bias: bool = True
 
     def __post_init__(self):
+        for field in fields(self):
+            _check_json_type(f"config {field.name}", getattr(self, field.name),
+                             type(field.default))
         if not 0 <= self.lam < math.inf:
             raise ValueError("lam must be finite and >= 0")
         if not 0 < self.learning_rate < math.inf:
@@ -100,6 +114,7 @@ class MilModel:
     config: TrainConfig
 
     def __post_init__(self):
+        _check_json_type("dim", self.dim, int)
         theta = np.asarray(self.theta, dtype=float)
         expected = self.dim + (1 if self.config.use_bias else 0)
         if theta.shape != (expected,):
@@ -207,8 +222,9 @@ def _raw_scores(theta: np.ndarray, use_bias: bool, X: np.ndarray) -> np.ndarray:
 
 
 class ScoreError(ValueError):
-    """A linear score that is not finite, at `index`: (row,) in a scored
-    matrix, (group, row) in the groups of `group_scores`."""
+    """A linear score that is not finite, at `index`: (row,) in a matrix
+    scored by `sentence_scores`, (group, row) in the groups of
+    `group_votes`."""
 
     def __init__(self, index: tuple[int, ...], value: float):
         super().__init__(f"row {index[-1]}: linear score {value} is not finite")
@@ -234,22 +250,6 @@ def sentence_scores(model: MilModel, X) -> np.ndarray:
     return sigmoid(z)
 
 
-def group_scores(model: MilModel, X, sizes) -> np.ndarray:
-    """The scores of the rows of X, group i's sizes[i] rows (possibly none)
-    after those of the groups before it, in one `sentence_scores` call: each
-    group's scores are those of its rows scored alone. An overflowing score
-    is a `ScoreError` indexed (group, row) at the first one in X."""
-    if not len(X):
-        return np.empty(0)
-    try:
-        return sentence_scores(model, X)
-    except ScoreError as exc:
-        ends = np.cumsum(sizes)
-        row = exc.index[0]
-        group = int(np.searchsorted(ends, row, side="right"))
-        raise ScoreError((group, row - int(ends[group] - sizes[group])), exc.value) from None
-
-
 def sentence_labels(scores) -> np.ndarray:
     """The sentence rule: a score >= 0.5 predicts positive."""
     return np.where(np.asarray(scores) >= 0.5, POSITIVE, NEGATIVE)
@@ -271,13 +271,26 @@ def document_vote(labels, scores=None) -> tuple[int | None, int, int]:
     return label, positive, negative
 
 
-def group_votes(scores, sizes) -> list[tuple[list[int], list[float], tuple[int | None, int, int]]]:
-    """Per group, sizes[i] consecutive entries of `scores` after those of the
-    groups before it: its sentence labels and scores as lists, and their
-    `document_vote`. A group of size 0 has empty lists and a vote of None."""
-    labels, scores = sentence_labels(scores).tolist(), np.asarray(scores).tolist()
+def group_votes(model: MilModel, X, sizes
+                ) -> list[tuple[list[int], list[float], tuple[int | None, int, int]]]:
+    """Each group's sentence labels and scores, as lists, and their
+    `document_vote`, group i being the sizes[i] rows of X (possibly none)
+    after those of the groups before it. A group without rows has empty
+    lists and a vote of None. X is scored in one `sentence_scores` call, so
+    each group's scores are those of its rows scored alone. An overflowing
+    score is a `ScoreError` indexed (group, row) at the first one in X."""
+    ends = np.cumsum(sizes, dtype=np.intp)
+    scores = np.empty(0)
+    if len(X):
+        try:
+            scores = sentence_scores(model, X)
+        except ScoreError as exc:
+            row = exc.index[0]
+            group = int(np.searchsorted(ends, row, side="right"))
+            raise ScoreError((group, row - int(ends[group] - sizes[group])), exc.value) from None
+    labels, scores = sentence_labels(scores).tolist(), scores.tolist()
     votes, lo = [], 0
-    for hi in np.cumsum(sizes, dtype=np.intp).tolist():
+    for hi in ends.tolist():
         group = labels[lo:hi], scores[lo:hi]
         votes.append((*group, document_vote(*group)))
         lo = hi
@@ -428,8 +441,8 @@ def train(dataset: MilDataset, config: TrainConfig | None = None) -> TrainResult
 
 def document_accuracy(model: MilModel, dataset: MilDataset) -> float:
     """Fraction of groups whose `document_vote` matches the group label, the
-    groups scored by `group_scores` as `predict` scores documents."""
-    votes = group_votes(group_scores(model, dataset.X, dataset.sizes), dataset.sizes)
+    groups scored and voted by `group_votes` as `predict` votes documents."""
+    votes = group_votes(model, dataset.X, dataset.sizes)
     hits = sum(vote[0] == label for (_, _, vote), label in zip(votes, dataset.labels.tolist()))
     return hits / dataset.n_groups
 
@@ -543,13 +556,6 @@ def save_model(model: MilModel, path) -> None:
         handle.write("\n")
 
 
-def _check_json_type(name: str, value, expected: type) -> None:
-    """A JSON value has the expected type: a bool is not a number, and an
-    int is a float but a float is not an int."""
-    if not (type(value) is expected or (expected is float and type(value) is int)):
-        raise TypeError(f"{name} must be a JSON {expected.__name__}, got {value!r}")
-
-
 def load_model(path) -> MilModel:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -561,15 +567,7 @@ def load_model(path) -> MilModel:
     if record.get("version") != MODEL_VERSION:
         raise ModelFormatError(f"{path}: unsupported version {record.get('version')!r}")
     try:
-        values = record["config"]
-        for field in fields(TrainConfig):
-            if field.name in values:
-                _check_json_type(f"config {field.name}", values[field.name],
-                                 type(field.default))
-        config = TrainConfig(**values)
-        theta = np.array(record["theta"], dtype=float)
-        dim = int(record["dim"])  # first, so that an infinite dim reports its overflow
-        _check_json_type("dim", record["dim"], int)
-        return MilModel(theta=theta, dim=dim, config=config)
+        return MilModel(np.array(record["theta"], dtype=float), record["dim"],
+                        TrainConfig(**record["config"]))
     except (KeyError, TypeError, ValueError, OverflowError, TrainingError) as exc:
         raise ModelFormatError(f"{path}: malformed model record: {exc}") from exc

@@ -192,7 +192,14 @@ class TestLabel:
         assert rc == 0
         assert load_corpus(out) == []
         err = capsys.readouterr().err
-        assert "no price series" in err and "a:" in err.replace("- a", "a")
+        assert "dropped (no price series" in err
+        # each dropped document is named in the manifest, not on stderr
+        assert "a:" not in err
+        metrics = json.loads((tmp_path / "labeled.jsonl.manifest.json").read_text())["metrics"]
+        reason = metrics["dropped_documents"][0][1]
+        assert metrics["dropped_documents"] == [["a", reason]]
+        assert "no price series" in reason
+        assert metrics["dropped"] == 1 and metrics["dropped_by_reason"] == {reason: 1}
 
     def test_all_zero_abnormal_returns_warns(self, tmp_path, capsys):
         # exact +/-0.5 alternating returns make the fitted model exact and
@@ -237,8 +244,12 @@ class TestLabel:
             capture_output=True, text=True, env=env, check=False,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.count("orphan-doc") == 1
-        assert proc.stderr.count("early-doc") == 1
+        # stderr gives counts per reason; the manifest lists each document once
+        assert "orphan-doc" not in proc.stderr and "early-doc" not in proc.stderr
+        metrics = json.loads((tmp_path / "labeled.jsonl.manifest.json").read_text())["metrics"]
+        assert [doc_id for doc_id, _ in metrics["dropped_documents"]] == ["orphan-doc",
+                                                                         "early-doc"]
+        assert sum(metrics["dropped_by_reason"].values()) == metrics["dropped"] == 2
 
 
 class TestTrain:
@@ -571,9 +582,9 @@ class TestPredict:
         ("theta", "[NaN", "theta contains non-finite values"),
         ("theta", "[Infinity", "theta contains non-finite values"),
         ("theta", "[-Infinity", "theta contains non-finite values"),
-        # numbers that overflow a float or an int when converted
+        # numbers that overflow a float
         ("theta", "[1" + "0" * 400, "int too large to convert to float"),
-        ("dim", "1e400", "cannot convert float infinity to integer"),
+        ("dim", "1e400", "dim must be a JSON int, got inf"),
         # JSON values of the wrong type
         ("dim", "2.7", "dim must be a JSON int, got 2.7"),
         ("dim", '"2"', "dim must be a JSON int, got '2'"),

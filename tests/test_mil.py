@@ -20,7 +20,6 @@ from milsent.mil import (
     generate_synthetic,
     gradient,
     grid_search,
-    group_scores,
     group_votes,
     load_model,
     loss,
@@ -713,6 +712,8 @@ class TestPrediction:
 
 
 class TestGroupScores:
+    """The scores, labels and votes of `group_votes`."""
+
     @pytest.mark.parametrize("dim", [5, 24, 1024])
     def test_equal_to_scoring_each_group_alone(self, dim):
         # groups of sizes 0 to 12 in shuffled order, scored in one call
@@ -720,12 +721,14 @@ class TestGroupScores:
         sizes = rng.permutation(np.repeat(np.arange(13), 7))
         X = rng.standard_normal((int(sizes.sum()), dim)) * 3
         model = model_of(rng.standard_normal(dim + 1), dim=dim)
-        scores = group_scores(model, X, sizes)
+        votes = group_votes(model, X, sizes)
+        assert len(votes) == len(sizes)
         lo = 0
-        for k in sizes.tolist():
+        for k, (_, scores, _) in zip(sizes.tolist(), votes):
             if k:
-                np.testing.assert_array_equal(scores[lo:lo + k],
-                                              sentence_scores(model, X[lo:lo + k].copy()))
+                assert scores == sentence_scores(model, X[lo:lo + k].copy()).tolist()
+            else:
+                assert scores == []
             lo += k
 
     def test_overflow_names_the_first_group_in_order(self):
@@ -739,25 +742,31 @@ class TestGroupScores:
         model = model_of(np.ones(4), dim=4, config=NO_BIAS)
         with pytest.raises(mil.ScoreError, match="^row 1: linear score inf is not finite$") \
                 as exc:
-            group_scores(model, X, sizes)
+            group_votes(model, X, sizes)
         assert exc.value.index == (7, 1)
         with pytest.raises(mil.ScoreError) as exc:
-            group_scores(model, X[starts[12]:], sizes[12:])
+            group_votes(model, X[starts[12]:], sizes[12:])
         assert exc.value.index == (1, 0)
         # groups without rows count as groups but hold no row
         with pytest.raises(mil.ScoreError, match="^row 0: ") as exc:
-            group_scores(model, X[starts[12]:], [0, 2, 0, 2])
+            group_votes(model, X[starts[12]:], [0, 2, 0, 2])
         assert exc.value.index == (3, 0)
 
     def test_groups_without_rows(self):
         model = model_of(np.zeros(3), dim=2)
-        assert group_scores(model, np.empty((0, 2)), np.array([0, 0], dtype=np.intp)).shape == (0,)
+        empty = ([], [], (None, 0, 0))
+        assert group_votes(model, np.empty((0, 2)), np.array([0, 0], dtype=np.intp)) == [
+            empty, empty]
 
     def test_votes_walk_the_groups_in_order(self):
+        # one-column rows whose scores under theta = 1 are about the given ones
         sizes = np.array([2, 0, 3, 1, 0, 4], dtype=np.intp)
-        scores = np.random.default_rng(8).random(int(sizes.sum()))
-        scores[:2] = [0.5, 0.2]  # a tie, decided by the mean score
-        votes = group_votes(scores, sizes)
+        probs = np.random.default_rng(8).random(int(sizes.sum()))
+        probs[:2] = [0.5, 0.2]  # a tie, decided by the mean score
+        X = np.log(probs / (1.0 - probs))[:, None]
+        model = model_of([1.0], dim=1, config=NO_BIAS)
+        scores = sentence_scores(model, X)
+        votes = group_votes(model, X, sizes)
         assert len(votes) == len(sizes)
         lo = 0
         for k, (labels, group, vote) in zip(sizes.tolist(), votes):
@@ -885,6 +894,18 @@ class TestModelFile:
             load_model(path)
         assert str(info.value) == f"{path}: malformed model record: {message}"
 
+    @pytest.mark.parametrize("config", [TrainConfig(), NO_BIAS, TrainConfig(lam=3)],
+                             ids=["defaults", "no-bias", "int-lam"])
+    def test_every_buildable_model_loads_back(self, tmp_path, config):
+        dim = 4
+        theta = np.random.default_rng(2).standard_normal(dim + config.use_bias)
+        model = MilModel(theta=theta, dim=dim, config=config)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        np.testing.assert_array_equal(loaded.theta, model.theta)
+        assert (loaded.dim, loaded.config) == (dim, config)
+
     def test_float_field_takes_json_int(self, tmp_path):
         path = tmp_path / "model.json"
         save_model(MilModel(theta=np.ones(3), dim=2, config=TrainConfig(lam=3)), path)
@@ -920,6 +941,21 @@ class TestConfigValidation:
             TrainConfig(momentum=1.0)
         with pytest.raises(ValueError):
             TrainConfig(kernel_gamma=0.0)
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: TrainConfig(use_bias=1), "config use_bias must be a JSON bool, got 1"),
+        (lambda: TrainConfig(seed=True), "config seed must be a JSON int, got True"),
+        (lambda: TrainConfig(epochs=2.0), "config epochs must be a JSON int, got 2.0"),
+        (lambda: TrainConfig(lam=True), "config lam must be a JSON float, got True"),
+        (lambda: MilModel(np.ones(3), 2.0, TrainConfig()), "dim must be a JSON int, got 2.0"),
+        # a config that used to save as a file `load_model` refused
+        (lambda: TrainConfig(use_bias=1, seed=True), "config seed must be a JSON int, got True"),
+    ], ids=["use-bias-int", "seed-bool", "epochs-float", "lam-bool", "dim-float",
+            "unloadable-once"])
+    def test_types_checked_where_built(self, build, message):
+        with pytest.raises(TypeError) as info:
+            build()
+        assert str(info.value) == message
 
     def test_median_heuristic_positive(self):
         dataset, _ = generate_synthetic(10, 4, 6, 2.0, 0.0, seed=1)
