@@ -20,7 +20,7 @@ from itertools import chain
 from typing import Mapping, Sequence
 
 from milsent._lazy import lazy_import
-from milsent.corpus import DataError, NEGATIVE, POSITIVE
+from milsent.corpus import DataError, NEGATIVE, POSITIVE, utf8_lines
 
 np = lazy_import("numpy")
 mil = lazy_import("milsent.mil")
@@ -49,7 +49,8 @@ class PolarityDictionary:
 def _read_terms(path) -> frozenset[str]:
     with open(path, encoding="utf-8") as handle:
         return frozenset(
-            line.strip().lower() for line in handle if line.strip()
+            line.strip().lower()
+            for line in utf8_lines(handle, path, DictionaryError) if line.strip()
         )
 
 

@@ -98,6 +98,19 @@ def _write_manifest(args, output_path, *, config: dict, inputs: dict, outputs: d
         handle.write("\n")
 
 
+def _write_output(args, rendered: str, name: str, **record) -> None:
+    """Write `rendered` to `--out`, ending in one newline, or else print it;
+    then, when `--out` or `--manifest` is given, write the manifest, which
+    records the output as `name` and stdout as `-`."""
+    if args.out:
+        with atomic_write(args.out) as handle:
+            handle.write(rendered if rendered.endswith("\n") else rendered + "\n")
+    else:
+        print(rendered)
+    if args.out or args.manifest:
+        _write_manifest(args, args.out, outputs={name: args.out or "-"}, **record)
+
+
 # Config file key -> dataclass field, per stage. A file may hold any key of
 # the three maps, so one file can steer the whole pipeline.
 _PREPROCESS_KEYS = {
@@ -122,7 +135,8 @@ _TRAIN_KEYS = {
     "kernel_gamma": "kernel_gamma",
     "use_bias": "use_bias",
 }
-# the training keys that `train --grid` varies, in the order of its cells
+# the training keys whose flags take a list of values, in the order of a
+# grid's cells
 _GRID_KEYS = ("lambda", "learning_rate", "momentum")
 
 
@@ -136,8 +150,11 @@ def _config(args, base, keys: dict[str, str]):
     return configfile.apply(path, values, base, keys)
 
 
-def _train_config(args) -> mil.TrainConfig:
-    """The config file's training keys, then each flag given on top of its key."""
+def _train_configs(args) -> list[mil.TrainConfig]:
+    """The config file's training keys, then each flag given on top of its
+    key: one config per combination of the grid flags' values, the flags in
+    `_GRID_KEYS` order and each flag's values in the order given. Every
+    value is checked here, before any input is read."""
     config = _config(args, mil.TrainConfig(), _TRAIN_KEYS)
     gamma = None if args.gamma == "median" else args.gamma
     if gamma is not None:
@@ -145,14 +162,16 @@ def _train_config(args) -> mil.TrainConfig:
             gamma = float(gamma)
         except ValueError:
             raise UsageError(f"--gamma must be a number or 'median', got {gamma!r}")
-    return _with_flags(config, (
-        ("--lambda", "lam", args.lam),
-        ("--learning-rate", "learning_rate", args.learning_rate),
-        ("--momentum", "momentum", args.momentum),
+    config = _with_flags(config, (
         ("--epochs", "epochs", args.epochs),
         ("--gamma", "kernel_gamma", gamma),
         ("--seed", "seed", args.seed),
     ))
+    flags = [("--" + key.replace("_", "-"), _TRAIN_KEYS[key]) for key in _GRID_KEYS]
+    axes = [getattr(args, key) or (None,) for key in _GRID_KEYS]
+    return [_with_flags(config, [(flag, field, value)
+                                 for (flag, field), value in zip(flags, cell)])
+            for cell in product(*axes)]
 
 
 def _with_flags(base, flags):
@@ -309,31 +328,6 @@ def _zero_vectors(zero: int, total: int) -> int:
     return zero
 
 
-def _grid_configs(text: str, base: mil.TrainConfig) -> list[mil.TrainConfig]:
-    """`base` with every combination of the grid's values, the axes in
-    `_GRID_KEYS` order; an axis the grid leaves out keeps its `base` value."""
-    axes = {key: (getattr(base, _TRAIN_KEYS[key]),) for key in _GRID_KEYS}
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, raw = part.partition("=")
-        key = key.strip()
-        if not sep or key not in axes:
-            expected = ";".join(f"{name}=..." for name in _GRID_KEYS)
-            raise UsageError(f"bad grid entry {part!r}; expected {expected}")
-        try:
-            axes[key] = tuple(float(v) for v in raw.split(",") if v.strip())
-            for value in axes[key]:
-                replace(base, **{_TRAIN_KEYS[key]: value})
-        except ValueError as exc:
-            raise UsageError(f"--grid: bad values in {part!r}: {exc}") from exc
-        if not axes[key]:
-            raise UsageError(f"empty value list in grid entry {part!r}")
-    fields = [_TRAIN_KEYS[key] for key in _GRID_KEYS]
-    return [replace(base, **dict(zip(fields, cell))) for cell in product(*axes.values())]
-
-
 def _grid_cell(config: mil.TrainConfig) -> dict:
     """A config's value of each grid key, by key."""
     return {key: getattr(config, _TRAIN_KEYS[key]) for key in _GRID_KEYS}
@@ -345,8 +339,7 @@ def _grid_line(config: mil.TrainConfig) -> str:
 
 def cmd_train(args) -> int:
     _require_file(args.corpus_in, "input corpus")
-    config = _train_config(args)
-    configs = _grid_configs(args.grid, config) if args.grid else [config]
+    configs = _train_configs(args)
     docs = load_corpus(args.corpus_in)
     store = _build_store(args)
     X = embed.embed_matrix(docs, store)
@@ -361,7 +354,7 @@ def cmd_train(args) -> int:
         _eprint(f"median-heuristic gamma: {gamma:.6g}")
 
     grid_cells = None
-    if args.grid:
+    if len(configs) > 1:
         outcomes, result = mil.grid_search(dataset, configs)
         grid_cells = []
         _eprint("grid search (in-sample document accuracy):")
@@ -555,18 +548,12 @@ def cmd_evaluate(args) -> int:
         rendered = evaluate.report_to_json(reports, title)
     else:
         rendered = evaluate.format_report_table(reports, title)
-    if args.out:
-        with atomic_write(args.out) as handle:
-            handle.write(rendered + "\n")
-        _write_manifest(
-            args, args.out,
-            config={"mode": args.mode, "format": args.format},
-            inputs={"gold": args.gold, "predictions": ",".join(args.predictions)},
-            outputs={"report": args.out},
-            metrics={name: report.to_dict() for name, report in reports.items()},
-        )
-    else:
-        print(rendered)
+    _write_output(
+        args, rendered, "report",
+        config={"mode": args.mode, "format": args.format},
+        inputs={"gold": args.gold, "predictions": ",".join(args.predictions)},
+        metrics={name: report.to_dict() for name, report in reports.items()},
+    )
     return EXIT_OK
 
 
@@ -628,19 +615,11 @@ def cmd_render(args) -> int:
             f"document {args.doc_id!r} has no sentence predictions; run 'milsent predict' first"
         )
     rendered = _render_html(doc) if args.format == "html" else _render_ansi(doc)
-    if args.out:
-        with atomic_write(args.out) as handle:
-            handle.write(rendered)
-            if not rendered.endswith("\n"):
-                handle.write("\n")
-        _write_manifest(
-            args, args.out,
-            config={"format": args.format, "doc_id": args.doc_id},
-            inputs={"corpus": args.corpus},
-            outputs={"rendered": args.out},
-        )
-    else:
-        print(rendered)
+    _write_output(
+        args, rendered, "rendered",
+        config={"format": args.format, "doc_id": args.doc_id},
+        inputs={"corpus": args.corpus},
+    )
     return EXIT_OK
 
 
@@ -667,6 +646,15 @@ def _add_embedding_flags(parser) -> None:
     parser.add_argument("--dim", type=int,
                         help="expected embedding dimension (checked against the file; "
                              "sets the dimension for 'hash')")
+
+
+def _numbers(text: str) -> tuple[float, ...]:
+    """A flag's comma-separated list of numbers."""
+    try:
+        return tuple(float(item) for item in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number or comma-separated numbers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -696,12 +684,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus_in")
     _add_embedding_flags(p)
     p.add_argument("model_out")
-    p.add_argument("--lambda", dest="lam", type=float, help="document-error weight")
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--momentum", type=float)
+    p.add_argument("--lambda", type=_numbers,
+                   help="document-error weight; several comma-separated values train a grid")
+    p.add_argument("--learning-rate", type=_numbers, help="a number, or a comma-separated list")
+    p.add_argument("--momentum", type=_numbers, help="a number, or a comma-separated list")
     p.add_argument("--epochs", type=int)
     p.add_argument("--gamma", help="RBF bandwidth: a number, or 'median'")
-    p.add_argument("--grid", help="grid search, e.g. 'lambda=1,10;learning_rate=0.05;momentum=0.8'")
     _add_common(p)
     p.set_defaults(func=cmd_train)
 

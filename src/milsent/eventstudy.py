@@ -104,21 +104,18 @@ def load_price_series(path, ticker: str) -> PriceSeries:
 def simple_returns(series: PriceSeries) -> list[tuple[date, float]]:
     """r_t = p_t / p_{t-1} - 1, dated at t."""
     if len(series.observations) < 2:
-        raise EventStudyError(f"{series.ticker}: need >= 2 observations for returns")
+        raise EventStudyError("need >= 2 observations for returns")
     out = []
     for (_, prev), (day, price) in zip(series.observations, series.observations[1:]):
         out.append((day, price / prev - 1.0))
     return out
 
 
-def _fit(s: np.ndarray, m: np.ndarray, window: int, event_date: date) -> MarketModel:
+def _fit(s: np.ndarray, m: np.ndarray, window: int) -> MarketModel:
     """OLS of stock returns `s` on market returns `m` over their last
-    `window` entries, the paired returns strictly before `event_date`."""
+    `window` entries, the paired returns before an event day."""
     if len(s) < window:
-        raise EventStudyError(
-            f"insufficient history before {event_date}: "
-            f"{len(s)} paired returns < window {window}"
-        )
+        raise EventStudyError("insufficient history: fewer paired returns than the window")
     s, m = s[-window:], m[-window:]
     var = float(np.var(m))
     # ptp catches a constant series even when rounding leaves var != 0
@@ -147,7 +144,7 @@ def fit_market_model(
     paired = [(r, market[d]) for d, r in stock_returns if d in market and d < event_date]
     s = np.array([r for r, _ in paired])
     m = np.array([r for _, r in paired])
-    return _fit(s, m, window, event_date)
+    return _fit(s, m, window)
 
 
 def abnormal_return(model: MarketModel, stock_return: float, market_return: float) -> float:
@@ -197,10 +194,10 @@ def _event_ar(doc: Document, aligned: _Aligned, config: EventLabelConfig) -> flo
     # Announcements on non-trading days take effect the next session.
     i = bisect_left(aligned.days, doc.published_at)
     if i == len(aligned.days):
-        raise EventStudyError(f"no trading day on or after {doc.published_at}")
+        raise EventStudyError("no trading day on or after publication")
     if aligned.prior_close[i] < config.penny_threshold:
         raise EventStudyError("penny stock")
-    model = _fit(aligned.stock[:i], aligned.market[:i], config.window, aligned.days[i])
+    model = _fit(aligned.stock[:i], aligned.market[:i], config.window)
     return abnormal_return(model, float(aligned.stock[i]), float(aligned.market[i]))
 
 

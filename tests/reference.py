@@ -216,7 +216,7 @@ def interpolated_quantile(values, q: float) -> float:
 
 def _naive_simple_returns(series):
     if len(series.observations) < 2:
-        raise EventStudyError(f"{series.ticker}: need >= 2 observations for returns")
+        raise EventStudyError("need >= 2 observations for returns")
     out = []
     for (_, prev), (day, price) in zip(series.observations, series.observations[1:]):
         out.append((day, price / prev - 1.0))
@@ -229,10 +229,7 @@ def _naive_market_model(stock_returns, market_returns, event_date, window):
         (d, r, market[d]) for d, r in stock_returns if d in market and d < event_date
     ]
     if len(paired) < window:
-        raise EventStudyError(
-            f"insufficient history before {event_date}: "
-            f"{len(paired)} paired returns < window {window}"
-        )
+        raise EventStudyError("insufficient history: fewer paired returns than the window")
     paired = paired[-window:]
     s = np.array([r for _, r, _ in paired])
     m = np.array([r for _, _, r in paired])
@@ -253,7 +250,7 @@ def naive_event_ar(doc, series, index_returns, config) -> float:
     paired_days = [d for d, _ in stock_returns if d in market]
     event_day = next((d for d in paired_days if d >= doc.published_at), None)
     if event_day is None:
-        raise EventStudyError(f"no trading day on or after {doc.published_at}")
+        raise EventStudyError("no trading day on or after publication")
     prices = dict(series.observations)
     price_days = [d for d, _ in series.observations]
     prior_days = [d for d in price_days if d < event_day]

@@ -68,6 +68,14 @@ class TestLoadDictionary:
         d = load_dictionary(pos, neg)
         assert d.positive_terms == {"good"}
 
+    def test_bytes_that_are_not_utf8_name_file_and_line(self, tmp_path):
+        pos, neg = tmp_path / "pos.txt", tmp_path / "neg.txt"
+        pos.write_text("good\n")
+        neg.write_bytes(b"bad\nworse\n\xff\n")
+        with pytest.raises(DictionaryError) as info:
+            load_dictionary(pos, neg)
+        assert str(info.value).startswith(f"{neg}: line 3: not valid UTF-8 (")
+
     def test_demo_lexicon_ships(self):
         d = load_demo_dictionary()
         assert len(d.positive_terms) >= 20

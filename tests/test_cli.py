@@ -201,6 +201,24 @@ class TestLabel:
         assert "no price series" in reason
         assert metrics["dropped"] == 1 and metrics["dropped_by_reason"] == {reason: 1}
 
+    def test_a_drop_reason_names_no_date_or_count(self, tmp_path, capsys):
+        """Documents dropped for one cause share one reason, whatever their
+        dates; the manifest names each document."""
+        raw = tmp_path / "raw.jsonl"
+        ids = [f"early{day}" for day in range(2, 7)]
+        write_jsonl(raw, [{"id": doc_id, "ticker": "AAA", "published_at": f"2005-01-0{day}",
+                           "text": "x"} for doc_id, day in zip(ids, range(2, 7))])
+        prices_dir, index_path = price_fixtures(tmp_path)
+        cfg = write_config(tmp_path / "demo.cfg")
+        assert main(["label", str(raw), str(prices_dir), str(index_path),
+                     str(tmp_path / "labeled.jsonl"), "--config", str(cfg)]) == 0
+        err = capsys.readouterr().err
+        metrics = json.loads((tmp_path / "labeled.jsonl.manifest.json").read_text())["metrics"]
+        reason = "insufficient history: fewer paired returns than the window"
+        assert metrics["dropped_by_reason"] == {reason: 5}
+        assert metrics["dropped_documents"] == [[doc_id, reason] for doc_id in ids]
+        assert err.count("dropped (") == 1 and f"dropped ({reason}): 5\n" in err
+
     def test_all_zero_abnormal_returns_warns(self, tmp_path, capsys):
         # exact +/-0.5 alternating returns make the fitted model exact and
         # the event-day abnormal return exactly zero
@@ -288,17 +306,6 @@ class TestTrain:
         manifest = json.loads((tmp_path / "model.json.manifest.json").read_text())
         assert manifest["metrics"]["zero_vector_sentences"] == 0
 
-    def test_singleton_grid_equals_plain_train(self, tmp_path):
-        corpus, vectors, _ = synthetic_corpus_files(tmp_path)
-        plain = tmp_path / "plain.json"
-        gridded = tmp_path / "grid.json"
-        base = ["--embedding-format", "sentence", "--epochs", "3", "--seed", "3",
-                "--lambda", "10", "--learning-rate", "0.05", "--momentum", "0.8"]
-        assert main(["train", str(corpus), str(vectors), str(plain)] + base) == 0
-        assert main(["train", str(corpus), str(vectors), str(gridded)] + base
-                    + ["--grid", "lambda=10;learning_rate=0.05;momentum=0.8"]) == 0
-        assert plain.read_bytes() == gridded.read_bytes()
-
     def test_grid_trains_each_cell_once(self, tmp_path, monkeypatch):
         # the selected cell's result is kept, not trained a second time
         corpus, vectors, _ = synthetic_corpus_files(tmp_path)
@@ -312,7 +319,7 @@ class TestTrain:
         monkeypatch.setattr(cli.mil, "train", counting)
         rc = main(["train", str(corpus), str(vectors), str(tmp_path / "model.json"),
                    "--embedding-format", "sentence", "--epochs", "2", "--seed", "3",
-                   "--grid", "lambda=1,10;learning_rate=0.05;momentum=0,0.8"])
+                   "--lambda", "1,10", "--learning-rate", "0.05", "--momentum", "0,0.8"])
         assert rc == 0
         assert len(calls) == 4
         assert len(set(calls)) == 4
@@ -321,12 +328,13 @@ class TestTrain:
         """With no epoch every cell ties: the smallest (lambda, learning_rate,
         momentum) is selected, and stderr and the manifest list the cells
         lambda-major, then learning_rate, then momentum, whatever the order
-        of the entries, each axis's values in the order given."""
+        of the flags, each flag's values in the order given."""
         corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=8)
         model = tmp_path / "model.json"
         assert main(["train", str(corpus), str(vectors), str(model),
                      "--embedding-format", "sentence", "--epochs", "0",
-                     "--grid", "momentum=0.8,0;lambda=10,1;learning_rate=0.5,0.05"]) == 0
+                     "--momentum", "0.8,0", "--lambda", "10,1",
+                     "--learning-rate", "0.5,0.05"]) == 0
         cells = list(itertools.product((10.0, 1.0), (0.5, 0.05), (0.8, 0.0)))
         err = capsys.readouterr().err
         listed = [line.split(":")[0] for line in err.splitlines() if line.startswith("  lambda=")]
@@ -350,7 +358,7 @@ class TestTrain:
         monkeypatch.setattr(cli.mil, "train", failing)
         model = tmp_path / "model.json"
         assert main(["train", str(corpus), str(vectors), str(model),
-                     "--embedding-format", "sentence", "--grid", "lambda=2,1"]) == 1
+                     "--embedding-format", "sentence", "--lambda", "2,1"]) == 1
         assert capsys.readouterr().err == (
             "error: every grid configuration failed to train; the first: no step at lambda 2.0\n")
         assert not model.exists()
@@ -901,6 +909,20 @@ class TestEvaluate:
         assert metrics == json.loads(capsys.readouterr().out)["methods"]
         assert list(metrics) == ["bow", "mil"] and metrics["mil"]["accuracy"] == 1.0
 
+    def test_manifest_without_out_records_stdout(self, tmp_path, capsys):
+        """`--manifest` alone writes the manifest, which records the report
+        as stdout (`-`); stdout is what the command prints without it."""
+        gold, perfect, _ = evaluation_files(tmp_path)
+        argv = ["evaluate", str(gold), f"mil={perfect}", "--format", "json"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        manifest = tmp_path / "m.json"
+        assert main(argv + ["--manifest", str(manifest)]) == 0
+        assert capsys.readouterr().out == printed
+        record = json.loads(manifest.read_text())
+        assert record["command"] == "evaluate" and record["outputs"] == {"report": "-"}
+        assert record["metrics"] == json.loads(printed)["methods"]
+
     def test_json_format(self, tmp_path, capsys):
         gold, perfect, _ = evaluation_files(tmp_path)
         rc = main(["evaluate", str(gold), f"mil={perfect}", "--format", "json"])
@@ -1050,6 +1072,19 @@ class TestRender:
         assert out.count("<span") == 3
         assert out.count('class="pos"') == 2
         assert out.count('class="neg"') == 1
+
+    @pytest.mark.parametrize("fmt", ["ansi", "html"])
+    def test_manifest_without_out_records_stdout(self, tmp_path, capsys, fmt):
+        corpus = self._predicted_corpus(tmp_path)
+        argv = ["render", str(corpus), "doc1", "--format", fmt]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        manifest = tmp_path / "m.json"
+        assert main(argv + ["--manifest", str(manifest)]) == 0
+        assert capsys.readouterr().out == printed
+        record = json.loads(manifest.read_text())
+        assert record["command"] == "render" and record["outputs"] == {"rendered": "-"}
+        assert record["config"] == {"format": fmt, "doc_id": "doc1"}
 
     def test_a_bad_line_after_the_document_fails(self, tmp_path, capsys):
         """`render` keeps only the document it shows, but checks every line."""
@@ -1322,7 +1357,7 @@ class TestConfigKeys:
 
     @pytest.mark.parametrize("flag,value", [
         ("--lambda", "nan"), ("--learning-rate", "inf"), ("--gamma", "nan"),
-        ("--grid", "lambda=1,nan"),
+        ("--lambda", "1,nan"),
     ])
     def test_non_finite_flag_is_named(self, tmp_path, capsys, flag, value):
         corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=5)
@@ -1330,7 +1365,7 @@ class TestConfigKeys:
         assert main(["train", str(corpus), str(vectors), str(out),
                      "--embedding-format", "sentence", flag, value]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {flag}") and "finite" in err
+        assert err.startswith(f"error: {flag} {value.split(',')[-1]}: ") and "finite" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "predict"])
@@ -1356,30 +1391,33 @@ class TestConfigKeys:
         corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=5)
         out = tmp_path / "m.json"
         assert main(["train", str(corpus), str(vectors), str(out),
-                     "--embedding-format", "sentence", "--grid", "lambda="]) == 2
-        assert capsys.readouterr().err == "error: empty value list in grid entry 'lambda='\n"
+                     "--embedding-format", "sentence", "--lambda", "1,"]) == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --lambda: expected a number or comma-separated numbers, "
+            "got '1,'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--learning-rate", "0.1,x"), ("--momentum", ",0")])
+    def test_list_item_that_is_not_a_number_is_named(self, tmp_path, capsys, flag, value):
+        corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=5)
+        out = tmp_path / "m.json"
+        assert main(["train", str(corpus), str(vectors), str(out),
+                     "--embedding-format", "sentence", flag, value]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: expected a number or comma-separated numbers, "
+            f"got {value!r}\n")
         assert not out.exists()
 
     def test_grid_is_checked_before_any_input_is_read(self, tmp_path, capsys):
-        # like a config key, a bad grid entry fails before the corpus is read
+        # like a config key, a bad value of a list flag fails before the
+        # corpus is read, even when an earlier value is good
         corpus, _, _ = synthetic_corpus_files(tmp_path, n_groups=5)
         corpus.write_text("{bad json\n" + corpus.read_text())
         before = sorted(tmp_path.iterdir())
         out = tmp_path / "m.json"
-        assert main(["train", str(corpus), "hash", str(out), "--grid", "lam=1"]) == 2
-        assert capsys.readouterr().err.startswith("error: bad grid entry 'lam=1'")
+        assert main(["train", str(corpus), "hash", str(out), "--momentum", "0.5,2"]) == 2
+        assert capsys.readouterr().err.startswith("error: --momentum 2.0: ")
         assert sorted(tmp_path.iterdir()) == before
-
-    @pytest.mark.parametrize("entry", ["lr=0.1", "lam=1,10", "LAMBDA=1,2"])
-    def test_grid_entry_is_a_training_key(self, tmp_path, capsys, entry):
-        """A grid entry is named by its config key: `lambda`, `learning_rate`
-        or `momentum`, spelled as in a config file; no alias is taken."""
-        corpus, vectors, _ = synthetic_corpus_files(tmp_path, n_groups=5)
-        out = tmp_path / "m.json"
-        assert main(["train", str(corpus), str(vectors), str(out),
-                     "--embedding-format", "sentence", "--grid", entry]) == 2
-        assert f"error: bad grid entry {entry!r}" in capsys.readouterr().err
-        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["preprocess", "a", "b"], ["label", "a", "b", "c", "d"], ["train", "a", "b", "c"],
@@ -1388,6 +1426,10 @@ class TestConfigKeys:
     def test_threads_flag_is_gone(self, capsys, argv):
         assert main(argv + ["--threads", "1"]) == 2
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+    def test_grid_flag_is_gone(self, capsys):
+        assert main(["train", "a", "b", "c", "--grid", "x"]) == 2
+        assert "unrecognized arguments: --grid" in capsys.readouterr().err
 
 
 class TestNonFiniteInput:

@@ -76,3 +76,24 @@ def test_readme_names_every_config_key():
 def test_readme_names_every_model_config_field():
     names = re.search(r"`config` \(([^)]*)\)", _readme_paragraph("Model file")).group(1)
     assert re.findall(r"`(\w+)`", names) == [f.name for f in fields(TrainConfig)]
+
+
+def _options(parser) -> set[str]:
+    """Every option string of `parser` and of its subparsers."""
+    found = set()
+    for action in parser._actions:
+        found.update(action.option_strings)
+        if isinstance(action.choices, dict):  # the subcommands' parsers
+            for sub in action.choices.values():
+                found |= _options(sub)
+    return found
+
+
+def test_readme_names_only_existing_flags():
+    """Every `--flag` in the README's code, fenced or inline, is an option
+    of the CLI."""
+    fence = re.compile(r"```.*?```", re.S)
+    text = README.read_text(encoding="utf-8")
+    code = " ".join(fence.findall(text) + re.findall(r"`([^`]+)`", fence.sub("", text)))
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", code)) - {"--no-build-isolation"}
+    assert named and named <= _options(cli.build_parser())

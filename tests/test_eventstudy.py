@@ -390,9 +390,9 @@ class TestLabelOracle:
         # since a return day always follows a price day
         assert result.dropped == (
             ("d1", "penny stock"),
-            ("d3", "no trading day on or after 2005-02-12"),
-            ("d4", "insufficient history before 2005-01-04: 0 paired returns < window 3"),
-            ("d5", "S: need >= 2 observations for returns"),
+            ("d3", "no trading day on or after publication"),
+            ("d4", "insufficient history: fewer paired returns than the window"),
+            ("d5", "need >= 2 observations for returns"),
             ("d6", "zero-variance market returns: singular fit"),
             ("d7", "no price series"),
             *((d, "return outlier") for d in ("d0", "d8", "d9", "d10")),
