@@ -167,10 +167,9 @@ def _train_configs(args) -> list[mil.TrainConfig]:
         ("--gamma", "kernel_gamma", gamma),
         ("--seed", "seed", args.seed),
     ))
-    flags = [("--" + key.replace("_", "-"), _TRAIN_KEYS[key]) for key in _GRID_KEYS]
     axes = [getattr(args, key) or (None,) for key in _GRID_KEYS]
-    return [_with_flags(config, [(flag, field, value)
-                                 for (flag, field), value in zip(flags, cell)])
+    return [_with_flags(config, [("--" + key.replace("_", "-"), _TRAIN_KEYS[key], value)
+                                 for key, value in zip(_GRID_KEYS, cell)])
             for cell in product(*axes)]
 
 
@@ -258,7 +257,11 @@ def cmd_label(args) -> int:
         if path.is_file():
             prices[ticker] = eventstudy.load_price_series(path, ticker)
 
-    result = eventstudy.label_documents(docs, prices, index, config)
+    try:
+        result = eventstudy.label_documents(docs, prices, index, config)
+    except eventstudy.EventStudyError as exc:
+        # a document that cannot be labelled is dropped, so this is the index
+        raise eventstudy.EventStudyError(f"{args.index_file}: {exc}") from exc
     save_corpus(result.documents, args.corpus_out)
 
     n_pos = sum(1 for d in result.documents if d.label == POSITIVE)

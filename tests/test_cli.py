@@ -219,6 +219,17 @@ class TestLabel:
         assert metrics["dropped_documents"] == [[doc_id, reason] for doc_id in ids]
         assert err.count("dropped (") == 1 and f"dropped ({reason}): 5\n" in err
 
+    def test_index_too_short_for_returns_names_the_file(self, tmp_path, capsys):
+        raw = news_corpus(tmp_path)
+        prices_dir, _ = price_fixtures(tmp_path)
+        index_path = tmp_path / "idx.csv"
+        write_price_csv(index_path, [(date(2005, 1, 3), 100.0)])
+        out = tmp_path / "labeled.jsonl"
+        assert main(["label", str(raw), str(prices_dir), str(index_path), str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {index_path}: need >= 2 observations for returns\n")
+        assert not out.exists()
+
     def test_all_zero_abnormal_returns_warns(self, tmp_path, capsys):
         # exact +/-0.5 alternating returns make the fitted model exact and
         # the event-day abnormal return exactly zero
